@@ -5,8 +5,14 @@ half-planes: |c| is the sup over phases of Re(e^{-i*phi} c), so an epigraph
 variable t with cuts t >= Re(e^{-i*phi} c) under-approximates |c| from below,
 and a constraint |L(b)| <= 1 is outer-approximated by cuts
 Re(e^{-i*phi} L(b)) <= 1.  Cuts are refined adaptively at the phases of the
-current iterate, which reaches 1e-10 gaps with a few dozen half-planes where
-a uniform polygon would need thousands.
+current iterate (Kelley's cutting-plane method), which reaches 1e-10 gaps
+with a few dozen half-planes where a uniform polygon would need thousands.
+
+``CutLP`` is the one engine that builds and solves these cut LPs; every cut
+loop here and in the finite backends is a specification on it.  Its rows
+come in a fixed order (bounded maps, then epigraph maps, each map by map
+and phase by phase, then the caller's rows), because HiGHS's vertex depends
+on the row order and on every coefficient's bits.
 
 Every bound reported upward is certified by direct evaluation of the
 returned vectors, never by trusting the solver's objective value alone.
@@ -30,9 +36,6 @@ try:
         _highs_wrapper._h.simplex_constants.SimplexStrategy.kSimplexStrategyDual)
 except (ImportError, AttributeError):
     _highs_wrapper = None
-
-_PHASES0 = np.arange(8) * (np.pi / 4.0)
-_PHASES1 = np.arange(16) * (np.pi / 8.0)
 
 
 def solve_lp(c, A_ub, b_ub, A_eq, b_eq, bounds):
@@ -146,8 +149,100 @@ def _solve_linprog(c, A_ub, b_ub, A_eq, b_eq, bounds):
     return res
 
 
-def _phase_distinct(phases: np.ndarray, phi: float) -> bool:
-    return bool(np.min(np.abs(np.angle(np.exp(1j * (phases - phi))))) > 1e-12)
+class CutLP:
+    """Kelley cut LP over u in C^d for the moduli of complex affine maps.
+
+    The LP's columns are [Re u (d), Im u (d), t (one per epigraph map), the
+    caller's extra columns], with cost, bounds and the extra rows ``A_ub``
+    and equalities ``A_eq`` given by the caller.  Epigraph map j is
+    L_j(u) = M_j u + off_j (with ``M`` None, L_j(u) = u_j) and carries
+    t_j >= |L_j(u)|; a bounded map L(u) = B u, added by ``add_bounded``,
+    carries |L(u)| <= 1.  Each map is replaced by the cuts
+    Re(e^{-i phi} L(u)) <= t_j (or 1) at the phases phi of its own phase
+    set, which starts as ``cuts`` equally spaced phases and grows by
+    ``add_cuts``.
+
+    Callers compare moduli as np.hypot(Re, Im), which rounds as the scalar
+    abs() does (numpy's vectorized complex abs can differ in the last bit);
+    those comparisons decide which cuts exist.
+    """
+
+    def __init__(self, d: int, cost, bounds, *, M=None, off=None, cuts: int = 16,
+                 A_ub=None, b_ub=None, A_eq=None, b_eq=None):
+        self.d = d
+        self.M = M
+        self.off = off
+        self.bounded: list[np.ndarray] = []
+        self.phases0 = np.arange(cuts) * (2 * np.pi / cuts)
+        self.phases = [self.phases0] * (d if M is None else len(M))
+        self.lp = (cost, A_ub, b_ub, A_eq, b_eq, bounds)
+
+    def add_bounded(self, row) -> None:
+        """Add the map L(u) = row . u with |L(u)| <= 1, after the earlier ones."""
+        self.phases.insert(len(self.bounded), self.phases0)
+        self.bounded.append(np.asarray(row, dtype=complex))
+
+    def values(self, u: np.ndarray) -> np.ndarray:
+        """L(u) for every map, bounded maps first.
+
+        Bounded maps are evaluated one dot product each and epigraph maps by
+        one product with ``M``; the cut phases depend on these bits.
+        """
+        x = u if self.M is None else self.M @ u
+        if self.off is not None:
+            x = self.off + x
+        if not self.bounded:
+            return x
+        return np.concatenate([(np.asarray(self.bounded)[:, None, :] @ u)[:, 0], x])
+
+    def add_cuts(self, mask: np.ndarray, values: np.ndarray) -> bool:
+        """Cut map j at angle(values[j]) wherever ``mask[j]`` holds and no
+        phase of map j lies within 1e-12 of it; report whether any was added."""
+        added = False
+        for j in np.nonzero(mask)[0]:
+            phi = float(np.angle(values[j]))
+            if np.min(np.abs(np.angle(np.exp(1j * (self.phases[j] - phi))))) > 1e-12:
+                self.phases[j] = np.append(self.phases[j], phi)
+                added = True
+        return added
+
+    def solve(self):
+        """Build every cut row in one pass and solve; returns (u, result)."""
+        cost, A_ub, b_ub, A_eq, b_eq, bounds = self.lp
+        d, nb = self.d, len(self.bounded)
+        counts = [len(ph) for ph in self.phases]
+        ks = np.repeat(np.arange(len(counts)), counts)  # the map of each row
+        e = np.exp(-1j * np.concatenate(self.phases))
+        rows = np.arange(len(ks))
+        epi = ks >= nb
+        # maps with a coefficient row: the bounded ones and those of M
+        dense = ~epi if self.M is None else np.ones(len(ks), dtype=bool)
+        D = np.asarray(self.bounded).reshape(nb, d)
+        if self.M is not None:
+            D = np.vstack([D, self.M])
+        coef = e[dense, None] * D[ks[dense]]
+        r = [np.repeat(rows[dense], 2 * d), rows[~dense], rows[~dense], rows[epi]]
+        c = [np.tile(np.arange(2 * d), len(coef)), ks[~dense] - nb,
+             d + ks[~dense] - nb, 2 * d + ks[epi] - nb]
+        v = [np.hstack([coef.real, -coef.imag]).ravel(), e[~dense].real,
+             -e[~dense].imag, -np.ones(int(np.sum(epi)))]
+        rhs = np.where(epi, 0.0, 1.0)
+        if self.off is not None:
+            # -Re(e * off), rounded as the scalar complex product rounds it
+            o, ee = self.off[ks[epi] - nb], e[epi]
+            rhs[epi] = -(ee.real * o.real - ee.imag * o.imag)
+        if A_ub is not None:
+            rr, cc = np.nonzero(A_ub)
+            r.append(len(ks) + rr)
+            c.append(cc)
+            v.append(A_ub[rr, cc])
+            rhs = np.concatenate([rhs, b_ub])
+        r, c, v = (np.concatenate(a) for a in (r, c, v))
+        keep = v != 0
+        A = sparse.coo_array((v[keep], (r[keep], c[keep])),
+                             shape=(len(rhs), len(cost)))
+        res = solve_lp(cost, A, rhs, A_eq, b_eq, bounds)
+        return res.x[:d] + 1j * res.x[d:2 * d], res
 
 
 def _irls_polish(A: np.ndarray, rhs: np.ndarray, w: np.ndarray,
@@ -263,8 +358,6 @@ def min_weighted_l1(A: np.ndarray, rhs: np.ndarray, weights=None, *,
     if not np.any(rhs):
         return np.zeros(n, dtype=complex), 0.0, 0.0, 0
 
-    init_phases = _PHASES0[::2] if gap_tol >= 1e-6 else _PHASES0
-
     # variables: [x (n), y (n), t (n)]
     A_eq = np.zeros((2 * m, 3 * n))
     A_eq[:m, :n] = A.real
@@ -272,11 +365,9 @@ def min_weighted_l1(A: np.ndarray, rhs: np.ndarray, weights=None, *,
     A_eq[m:, :n] = A.imag
     A_eq[m:, n:2 * n] = A.real
     b_eq = np.concatenate([rhs.real, rhs.imag])
-
-    cost = np.concatenate([np.zeros(2 * n), w])
-    bounds = [(None, None)] * (2 * n) + [(0, None)] * n
-
-    phases: list[np.ndarray] = [np.array(init_phases) for _ in range(n)]
+    cut = CutLP(n, np.concatenate([np.zeros(2 * n), w]),
+                [(None, None)] * (2 * n) + [(0, None)] * n,
+                cuts=4 if gap_tol >= 1e-6 else 8, A_eq=A_eq, b_eq=b_eq)
 
     lp_lower = 0.0
     best_c = np.zeros(n, dtype=complex)
@@ -285,19 +376,7 @@ def min_weighted_l1(A: np.ndarray, rhs: np.ndarray, weights=None, *,
     stagnant = 0
     rounds = 0
     for rounds in range(1, max_rounds + 1):
-        ks = np.concatenate([np.full(len(ph), k, dtype=int)
-                             for k, ph in enumerate(phases)])
-        phs = np.concatenate(phases)
-        r = len(ks)
-        rws = np.repeat(np.arange(r), 3)
-        cls = np.stack([ks, n + ks, 2 * n + ks], axis=1).ravel()
-        vls = np.stack([np.cos(phs), np.sin(phs), -np.ones(r)], axis=1).ravel()
-        A_ub = sparse.csr_matrix((vls, (rws, cls)), shape=(r, 3 * n))
-        b_ub = np.zeros(r)
-
-        res = solve_lp(cost, A_ub, b_ub, A_eq, b_eq, bounds)
-        sol = res.x
-        c = sol[:n] + 1j * sol[n:2 * n]
+        c, res = cut.solve()
         lp_lower = float(res.fun)
         cands = [c, _phase_fixed_descent(A, rhs, w, c),
                  _irls_polish(A, rhs, w, c, iters=25)]
@@ -323,18 +402,10 @@ def min_weighted_l1(A: np.ndarray, rhs: np.ndarray, weights=None, *,
         prev_upper = best_upper
 
         # refine: cut at the phase of every coordinate whose epigraph is slack
-        t = sol[2 * n:]
-        improved = False
-        slack = w * (np.abs(c) - t)
+        slack = w * (np.abs(c) - res.x[2 * n:])
         active = max(1, int(np.sum(np.abs(c) > 1e-12 * scale)))
-        for k in np.nonzero(slack > gap_tol * scale / (4 * active))[0]:
-            if abs(c[k]) <= 1e-15:
-                continue
-            phi = float(np.angle(c[k]))
-            if _phase_distinct(phases[k], phi):
-                phases[k] = np.append(phases[k], phi)
-                improved = True
-        if not improved:
+        if not cut.add_cuts((slack > gap_tol * scale / (4 * active)) &
+                            (np.hypot(c.real, c.imag) > 1e-15), c):
             break
 
     # repair: project onto the exact affine set (least-norm correction for
@@ -362,96 +433,36 @@ class ModulusConstrainedMax:
     constraint sum_i d_i |b_i| <= 1 (geometric tails) is carried via
     epigraph variables u_i >= |b_i|.
 
-    The maximum is often attained on a whole face, whose vertices can carry
-    large modulus violations between cuts; after the cut loop a centering
-    pass locks the objective and minimizes sum_i |b_i|, which lands on a
-    well-conditioned near-feasible point and makes the certified bound
-    obj/certified_sup tight.
+    The cut LP over [Re b, Im b, u] only localizes the maximizer; an SLSQP
+    polish on the smooth problem then sharpens it.
     """
 
     def __init__(self, obj: np.ndarray, abs_row: np.ndarray | None = None):
         self.obj = np.asarray(obj, dtype=complex)
-        self.n = len(self.obj)
-        self.rows: list[np.ndarray] = []
-        self.phases: list[np.ndarray] = []
+        self.n = n = len(self.obj)
         self.abs_row = None if abs_row is None else np.asarray(abs_row, float)
-        self.abs_phases = [np.array(_PHASES0) for _ in range(self.n)]
+        tail = None
+        if self.abs_row is not None:
+            tail = np.concatenate([np.zeros(2 * n), self.abs_row])[None, :]
+        self.cut = CutLP(n, np.concatenate([-self.obj.real, self.obj.imag, np.zeros(n)]),
+                         [(None, None)] * (2 * n) + [(0, None)] * n, cuts=8,
+                         A_ub=tail, b_ub=None if tail is None else np.ones(1))
+        self.rows = self.cut.bounded
 
     def add_row(self, row) -> None:
-        self.rows.append(np.asarray(row, dtype=complex))
-        self.phases.append(np.array(_PHASES0))
-
-    def row_values(self, b: np.ndarray) -> np.ndarray:
-        if not self.rows:
-            return np.zeros(0, dtype=complex)
-        return np.asarray(self.rows) @ b
-
-    def _assemble(self, obj_floor: float | None):
-        """Cut polytope over variables [Re b, Im b, u]; u >= |b| epigraphs.
-
-        With ``obj_floor`` set, Re(obj . b) >= obj_floor joins the rows
-        (centering mode).
-        """
-        n = self.n
-        nvar = 3 * n
-        blocks = []
-        rhs = []
-        for j, L in enumerate(self.rows):
-            ph = self.phases[j]
-            coef = np.exp(-1j * ph)[:, None] * L[None, :]
-            blk = np.zeros((len(ph), nvar))
-            blk[:, :n] = coef.real
-            blk[:, n:2 * n] = -coef.imag
-            blocks.append(blk)
-            rhs.append(np.ones(len(ph)))
-        # u_i >= Re(e^{-i phi} b_i)  ->  Re(...) - u_i <= 0
-        for i in range(n):
-            ph = self.abs_phases[i]
-            blk = np.zeros((len(ph), nvar))
-            blk[:, i] = np.cos(ph)
-            blk[:, n + i] = np.sin(ph)
-            blk[:, 2 * n + i] = -1.0
-            blocks.append(blk)
-            rhs.append(np.zeros(len(ph)))
-        if self.abs_row is not None:
-            tail = np.zeros((1, nvar))
-            tail[0, 2 * n:] = self.abs_row
-            blocks.append(tail)
-            rhs.append(np.ones(1))
-        if obj_floor is not None:
-            row = np.zeros((1, nvar))
-            row[0, :n] = -self.obj.real
-            row[0, n:2 * n] = self.obj.imag
-            blocks.append(row)
-            rhs.append(np.array([-obj_floor]))
-        return np.vstack(blocks), np.concatenate(rhs), nvar
+        self.cut.add_bounded(row)
 
     def _refine(self, b: np.ndarray, u: np.ndarray, tol: float) -> float:
         """Add cuts at the phases of violated rows/epigraphs; return worst violation."""
-        worst = 0.0
-        for j, L in enumerate(self.rows):
-            v = complex(np.dot(L, b))
-            viol = abs(v) - 1.0
-            worst = max(worst, viol)
-            if viol > tol / 4 and abs(v) > 0:
-                phi = float(np.angle(v))
-                if _phase_distinct(self.phases[j], phi):
-                    self.phases[j] = np.append(self.phases[j], phi)
-        for i in range(self.n):
-            if abs(b[i]) > u[i] + tol / 4 and abs(b[i]) > 0:
-                phi = float(np.angle(b[i]))
-                if _phase_distinct(self.abs_phases[i], phi):
-                    self.abs_phases[i] = np.append(self.abs_phases[i], phi)
+        v = self.cut.values(b)
+        mags = np.hypot(v.real, v.imag)
+        nr = len(self.rows)
+        over = np.concatenate([mags[:nr] - 1.0 > tol / 4, mags[nr:] > u + tol / 4])
+        self.cut.add_cuts(over & (mags > 0), v)
+        worst = float(np.max(mags[:nr] - 1.0, initial=0.0))
         if self.abs_row is not None:
             worst = max(worst, float(np.dot(self.abs_row, np.abs(b)) - 1.0))
         return worst
-
-    def _lp_pass(self, cost: np.ndarray, obj_floor: float | None):
-        A_ub, b_ub, nvar = self._assemble(obj_floor)
-        bounds = [(None, None)] * (2 * self.n) + [(0, None)] * self.n
-        res = solve_lp(cost, A_ub, b_ub, None, None, bounds)
-        n = self.n
-        return res.x[:n] + 1j * res.x[n:2 * n], res.x[2 * n:]
 
     def _worst_violation(self, b: np.ndarray) -> float:
         worst = 0.0
@@ -532,18 +543,14 @@ class ModulusConstrainedMax:
         index sets: violated angles found by a grid scan), which trigger
         another pass.
         """
-        n = self.n
-        cost = np.zeros(3 * n)
-        cost[:n] = -self.obj.real
-        cost[n:2 * n] = self.obj.imag
         # the LP loop only localizes the active geometry when a smooth
         # polish follows, so its exit tolerance can stay coarse
         loop_tol = max(tol, 1e-3) if polish else tol
-        b = np.zeros(n, dtype=complex)
+        b = np.zeros(self.n, dtype=complex)
         for outer in range(6):
             for _ in range(max_rounds):
-                b, u = self._lp_pass(cost, None)
-                worst = self._refine(b, u, loop_tol)
+                b, res = self.cut.solve()
+                worst = self._refine(b, res.x[2 * self.n:], loop_tol)
                 if worst <= loop_tol:
                     break
             if polish and self.rows and len(self.rows) <= 600:

@@ -234,48 +234,26 @@ def _generic_lp(alg: FiniteAlgebra, x0: np.ndarray, N: np.ndarray,
     is_sup = alg.norm_kind == "weighted_sup"
     # real variables: [Re u (d), Im u (d), t (n)] and, for sup, s appended
     nv = 2 * d + n + (1 if is_sup else 0)
-    phases = [np.array(_lp._PHASES1) for _ in range(n)]
-
-    def coord_row(i, phi):
-        # Re(e^{-i phi} x_i(u)) = Re(e^{-i phi} x0_i) + linear in (Re u, Im u)
-        row = np.zeros(nv)
-        e = np.exp(-1j * phi)
-        row[:d] = np.real(e * N[i, :])
-        row[d:2 * d] = -np.imag(e * N[i, :])
-        rhs = -np.real(e * x0[i])
-        return row, rhs
+    cost = np.zeros(nv)
+    A_ub = b_ub = None
+    if is_sup:
+        # w_i t_i <= s
+        A_ub = np.zeros((n, nv))
+        A_ub[np.arange(n), 2 * d + np.arange(n)] = w
+        A_ub[:, -1] = -1.0
+        b_ub = np.zeros(n)
+        cost[-1] = 1.0
+    else:
+        cost[2 * d:2 * d + n] = w
+    bounds = [(None, None)] * (2 * d) + [(0, None)] * (nv - 2 * d)
+    cut = _lp.CutLP(d, cost, bounds, M=N, off=x0, A_ub=A_ub, b_ub=b_ub)
 
     lower = 0.0
     upper = math.inf
     best_x = x0
     for _ in range(40):
-        rows = []
-        rhs = []
-        for i in range(n):
-            for phi in phases[i]:
-                row, r0 = coord_row(i, phi)
-                row[2 * d + i] = -1.0
-                rows.append(row)
-                rhs.append(r0)
-        if is_sup:
-            # w_i t_i <= s
-            for i in range(n):
-                row = np.zeros(nv)
-                row[2 * d + i] = w[i]
-                row[-1] = -1.0
-                rows.append(row)
-                rhs.append(0.0)
-            cost = np.zeros(nv)
-            cost[-1] = 1.0
-        else:
-            cost = np.zeros(nv)
-            cost[2 * d:2 * d + n] = w
-        A_ub = np.asarray(rows)
-        b_ub = np.asarray(rhs)
-        bounds = [(None, None)] * (2 * d) + [(0, None)] * (nv - 2 * d)
-        res = _lp.solve_lp(cost, A_ub, b_ub, None, None, bounds)
-        u = res.x[:d] + 1j * res.x[d:2 * d]
-        x = x0 + N @ u
+        u, res = cut.solve()
+        x = cut.values(u)
         lower = float(res.fun)
         val = alg.norm(x)
         if val < upper:
@@ -283,15 +261,8 @@ def _generic_lp(alg: FiniteAlgebra, x0: np.ndarray, N: np.ndarray,
             best_x = x
         if upper - lower <= max(tolerance, 1e-11) * max(1.0, upper):
             break
-        t = res.x[2 * d:2 * d + n]
-        improved = False
-        for i in range(n):
-            if abs(x[i]) > t[i] + 1e-13 and abs(x[i]) > 1e-15:
-                phi = float(np.angle(x[i]))
-                if _lp._phase_distinct(phases[i], phi):
-                    phases[i] = np.append(phases[i], phi)
-                    improved = True
-        if not improved:
+        mags = np.hypot(x.real, x.imag)
+        if not cut.add_cuts((mags > res.x[2 * d:2 * d + n] + 1e-13) & (mags > 1e-15), x):
             break
     return lower, upper, best_x
 

@@ -146,57 +146,33 @@ def _distance_lp(alg: FiniteAlgebra, i: int, j: int) -> tuple[float, float]:
     w = alg.weights
     is_sup = alg.norm_kind == "weighted_sup"
     nv = 2 * m + n
-    phases = [np.array(_lp._PHASES1) for _ in range(n)]
     obj = np.zeros(nv)
     # x = B^T u; maximize Re(x_i - x_j)
     d_row = B.T[i - 1, :] - B.T[j - 1, :]
     obj[:m] = -d_row.real
     obj[m:2 * m] = d_row.imag
+    if is_sup:
+        A_ub = np.zeros((n, nv))
+        A_ub[np.arange(n), 2 * m + np.arange(n)] = w
+    else:
+        A_ub = np.zeros((1, nv))
+        A_ub[0, 2 * m:] = w
+    bounds = [(None, None)] * (2 * m) + [(0, None)] * n
+    cut = _lp.CutLP(m, obj, bounds, M=B.T, A_ub=A_ub, b_ub=np.ones(len(A_ub)))
 
     lower = 0.0
     upper = 2.0
     for _ in range(40):
-        rows = []
-        rhs = []
-        for k in range(n):
-            for phi in phases[k]:
-                e = np.exp(-1j * phi)
-                row = np.zeros(nv)
-                row[:m] = np.real(e * B.T[k, :])
-                row[m:2 * m] = -np.imag(e * B.T[k, :])
-                row[2 * m + k] = -1.0
-                rows.append(row)
-                rhs.append(0.0)
-        if is_sup:
-            for k in range(n):
-                row = np.zeros(nv)
-                row[2 * m + k] = w[k]
-                rows.append(row)
-                rhs.append(1.0)
-        else:
-            row = np.zeros(nv)
-            row[2 * m:] = w
-            rows.append(row)
-            rhs.append(1.0)
-        bounds = [(None, None)] * (2 * m) + [(0, None)] * n
-        res = _lp.solve_lp(obj, np.asarray(rows), np.asarray(rhs), None, None, bounds)
-        u = res.x[:m] + 1j * res.x[m:2 * m]
-        x = B.T @ u
+        u, res = cut.solve()
+        x = cut.values(u)
         upper = -float(res.fun)  # outer relaxation of the ball
         nx = alg.norm(x)
         if nx > 0:
             lower = max(lower, float(abs(x[i - 1] - x[j - 1])) / nx)
         if upper - lower <= 1e-9 * max(1.0, upper):
             break
-        improved = False
-        t = res.x[2 * m:]
-        for k in range(n):
-            if abs(x[k]) > t[k] + 1e-13 and abs(x[k]) > 1e-15:
-                phi = float(np.angle(x[k]))
-                if _lp._phase_distinct(phases[k], phi):
-                    phases[k] = np.append(phases[k], phi)
-                    improved = True
-        if not improved:
+        mags = np.hypot(x.real, x.imag)
+        if not cut.add_cuts((mags > res.x[2 * m:] + 1e-13) & (mags > 1e-15), x):
             break
     return (lower, min(upper, 2.0))
 

@@ -239,11 +239,9 @@ def np_norm_analytic_wiener(lambdas, targets, tolerance: float = 1e-9) -> NormRe
 def common_period(thetas, qmax: int = 4096) -> int | None:
     """Smallest q <= qmax with every angle an integer multiple of 2*pi/q."""
     th = np.asarray(thetas, dtype=float).ravel()
-    for q in range(1, qmax + 1):
-        x = th * q / (2 * np.pi)
-        if np.all(np.abs(x - np.round(x)) <= 1e-9):
-            return q
-    return None
+    x = th * np.arange(1, qmax + 1)[:, None] / (2 * np.pi)  # row q-1: th * q
+    hit = np.all(np.abs(x - np.round(x)) <= 1e-9, axis=1)
+    return int(np.argmax(hit)) + 1 if hit.any() else None
 
 
 def wiener_certificate(thetas, targets, b, period: int | None = None,

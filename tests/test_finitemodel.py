@@ -103,6 +103,23 @@ def test_one_dimensional_coset():
     assert r.upper == pytest.approx(3.0, abs=1e-8)
 
 
+def test_generic_weighted_l1_subalgebra_contains_closed_form():
+    # on the span x = (u, u, v) the norm is 2|u| + 3|v| and the sites 1 and
+    # 3 pin u and v, so the interpolation norms are 2|a| and 2|a| + 3|b|,
+    # up to rounding
+    alg = FiniteAlgebra(3, "weighted_l1", weights=[1, 1, 3],
+                        basis=[[1, 1, 0], [0, 0, 1]])
+    rng = np.random.default_rng(11)
+    for _ in range(10):
+        a, b = rng.standard_normal(2) + 1j * rng.standard_normal(2)
+        r = np_norm_generic(alg, [1], [a], tolerance=1e-9)
+        want = 2 * abs(a)
+        assert r.lower - 1e-12 <= want <= r.upper + 1e-12
+        r = np_norm_generic(alg, [1, 3], [a, b], tolerance=1e-9)
+        want = 2 * abs(a) + 3 * abs(b)
+        assert r.lower - 1e-12 <= want <= r.upper + 1e-12
+
+
 # ----------------------------------------------------------------------
 # sup-norm-property search
 # ----------------------------------------------------------------------

@@ -48,6 +48,18 @@ def test_finite_distance_subalgebra_interval():
     assert lo == pytest.approx(2.0, abs=1e-6)
 
 
+def test_finite_distance_weighted_l1_subalgebra_contains_closed_form():
+    # on the span x = (u, u, v) the norm is 2|u| + 3|v|, so the largest
+    # |x_1 - x_3| = |u - v| on the unit ball is 1/2 and x_1 - x_2 vanishes;
+    # both ends may miss the closed form by rounding
+    alg = FiniteAlgebra(3, "weighted_l1", weights=[1, 1, 3],
+                        basis=[[1, 1, 0], [0, 0, 1]])
+    lo, hi = gleason_distance_finite(alg, 1, 3)
+    assert lo - 1e-12 <= 0.5 <= hi + 1e-12
+    lo, hi = gleason_distance_finite(alg, 1, 2)
+    assert lo - 1e-12 <= 0.0 <= hi + 1e-12
+
+
 def test_disc_distance_half():
     lo, hi = gleason_distance_hardy(0.0, 0.5, 1e-6)
     want = 4 - 2 * math.sqrt(3)

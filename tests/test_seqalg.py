@@ -121,6 +121,9 @@ def test_wiener_period_detection():
     assert common_period([0.0, np.pi]) == 2
     assert common_period([0.0, 2 * np.pi / 3]) == 3
     assert common_period([0.0, 1.0]) is None
+    # a prime period just inside the search range, and one just beyond it
+    assert common_period([0.0, 2 * np.pi / 4093]) == 4093
+    assert common_period([0.0, 2 * np.pi / 4097]) is None
 
 
 def test_wiener_incommensurate_bracket():
