@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from picknorm.core import DomainViolation
-from picknorm.finitemodel import FiniteAlgebra, np_norm_closed_form
+from picknorm.finitemodel import FiniteAlgebra, np_norm_closed_form, np_norm_generic
 from picknorm.gleason import (
     certify_trivial_parts,
     gleason_distance_finite,
@@ -38,6 +38,84 @@ def test_finite_distance_validation():
         gleason_distance_finite(alg, 1, 1)
     with pytest.raises(DomainViolation):
         gleason_distance_finite(alg, 0, 1)
+    # coordinate 3 vanishes on the span of (1, 1, 0): the zero functional
+    with pytest.raises(DomainViolation, match="not a character"):
+        gleason_distance_finite(
+            FiniteAlgebra(3, "weighted_sup", basis=[[1, 1, 0]]), 1, 3)
+    # a plain subspace that is not closed under products has no blocks
+    with pytest.raises(DomainViolation, match="not an algebra"):
+        gleason_distance_finite(FiniteAlgebra.subspace([[1, 2, 3]]), 1, 2)
+
+
+def test_lp_at_p1_is_the_unit_weight_l1_norm():
+    assert gleason_distance_finite(FiniteAlgebra(2, "lp", p=1.0), 1, 2) == (1.0, 1.0)
+    sites = [1, 2, 3]
+    rep = part_partition(FiniteAlgebra(3, "lp", p=1.0), sites)
+    assert rep.partition == part_partition(FiniteAlgebra(3, "weighted_l1"), sites).partition
+    assert rep.partition == ((0, 1, 2),)
+
+
+def _random_block_algebra(rng, kind):
+    """A subalgebra of C^6 given by a mixed basis of block indicators, with
+    its block labels (-1 outside every block)."""
+    n = 6
+    k = int(rng.integers(2, 5))
+    labels = np.concatenate([np.arange(k), rng.integers(-1, k, n - k)])
+    rng.shuffle(labels)
+    indicators = np.array([labels == b for b in range(k)], dtype=float)
+    mix = rng.standard_normal((k, k)) + 1j * rng.standard_normal((k, k))
+    if kind == "lp":
+        p = 1.0 if rng.uniform() < 0.25 else float(rng.uniform(1.1, 4.0))
+        alg = FiniteAlgebra(n, "lp", p=p, basis=mix @ indicators)
+    else:
+        alg = FiniteAlgebra(n, kind, weights=rng.uniform(1.0, 3.0, n),
+                            basis=mix @ indicators)
+    return alg, labels
+
+
+def _extremal_targets(alg, in_b, in_c):
+    """Values on blocks b and c at which |v_b - v_c| reaches the closed-form
+    distance on the unit sphere of the block norm."""
+    w = alg.weights
+    if alg.norm_kind == "weighted_sup":
+        return 1.0 / np.max(w[in_b]), -1.0 / np.max(w[in_c])
+    if alg.norm_kind == "weighted_l1":
+        sb, sc = np.sum(w[in_b]), np.sum(w[in_c])
+        return (1.0 / sb, 0.0) if sb <= sc else (0.0, -1.0 / sc)
+    nb, nc = np.sum(in_b), np.sum(in_c)
+    if alg.p == 1.0:
+        return (1.0 / nb, 0.0) if nb <= nc else (0.0, -1.0 / nc)
+    # y_b = |b|^(-1/p) in l_q; the maximizer of y . v is y^(q-1)/||y||_q^(q-1)
+    q = alg.p / (alg.p - 1.0)
+    yb, yc = nb ** (-1.0 / alg.p), nc ** (-1.0 / alg.p)
+    nq = (yb ** q + yc ** q) ** (1.0 / q)
+    return yb ** q / nq ** (q - 1.0), -yc ** q / nq ** (q - 1.0)
+
+
+@pytest.mark.parametrize("kind", ["weighted_sup", "weighted_l1", "lp"])
+def test_block_subalgebra_distance_is_the_dual_norm(kind):
+    # the generic coset minimizer is the reference: at the extremal targets
+    # the interpolation norm is 1, so the distance is attained, and on
+    # random targets |a_i - a_j| <= d * norm
+    rng = np.random.default_rng({"weighted_sup": 1, "weighted_l1": 2, "lp": 3}[kind])
+    for _ in range(6):
+        alg, labels = _random_block_algebra(rng, kind)
+        b, c = rng.choice(labels.max() + 1, 2, replace=False)
+        i = int(rng.choice(np.flatnonzero(labels == b))) + 1
+        j = int(rng.choice(np.flatnonzero(labels == c))) + 1
+        lo, hi = gleason_distance_finite(alg, i, j)
+        assert 0.0 < lo <= hi <= 2.0
+        targets = _extremal_targets(alg, labels == b, labels == c)
+        r = np_norm_generic(alg, [i, j], targets, tolerance=1e-10)
+        assert r.lower == pytest.approx(1.0, abs=1e-7)
+        assert abs(targets[0] - targets[1]) / r.upper <= hi * (1 + 1e-12)
+        for _ in range(4):
+            a = rng.standard_normal(2) + 1j * rng.standard_normal(2)
+            r = np_norm_generic(alg, [i, j], a, tolerance=1e-10)
+            assert abs(a[0] - a[1]) / r.lower <= hi
+        twin = [m + 1 for m in np.flatnonzero(labels == b) if m + 1 != i]
+        if twin:
+            assert gleason_distance_finite(alg, i, twin[0]) == (0.0, 0.0)
 
 
 def test_finite_distance_subalgebra_interval():
@@ -50,14 +128,13 @@ def test_finite_distance_subalgebra_interval():
 
 def test_finite_distance_weighted_l1_subalgebra_contains_closed_form():
     # on the span x = (u, u, v) the norm is 2|u| + 3|v|, so the largest
-    # |x_1 - x_3| = |u - v| on the unit ball is 1/2 and x_1 - x_2 vanishes;
-    # both ends may miss the closed form by rounding
+    # |x_1 - x_3| = |u - v| on the unit ball is 1/2 and x_1 - x_2 vanishes
     alg = FiniteAlgebra(3, "weighted_l1", weights=[1, 1, 3],
                         basis=[[1, 1, 0], [0, 0, 1]])
     lo, hi = gleason_distance_finite(alg, 1, 3)
-    assert lo - 1e-12 <= 0.5 <= hi + 1e-12
+    assert lo <= 0.5 <= hi
     lo, hi = gleason_distance_finite(alg, 1, 2)
-    assert lo - 1e-12 <= 0.0 <= hi + 1e-12
+    assert lo <= 0.0 <= hi
 
 
 def test_disc_distance_half():
@@ -85,6 +162,32 @@ def test_disc_distance_depends_on_invariant_ratio():
     assert lo == pytest.approx(disc_closed_form(rho), abs=1e-6)
 
 
+def test_disc_interval_contains_high_precision_value():
+    mpmath = pytest.importorskip("mpmath")
+    mpmath.mp.dps = 50
+    rng = np.random.default_rng(11)
+    pairs = []
+    for _ in range(100):
+        interior = rng.uniform(0, 0.95, 2) * np.exp(2j * np.pi * rng.uniform(size=2))
+        boundary = (1 - 10.0 ** rng.uniform(-15.5, -1, 2)) \
+            * np.exp(2j * np.pi * rng.uniform(size=2))
+        near = complex(interior[0]) + 10.0 ** rng.uniform(-16, -3) \
+            * np.exp(2j * np.pi * rng.uniform())
+        pairs += [(interior[0], interior[1], 1e-12), (boundary[0], boundary[1], None),
+                  (interior[0], near, None), (boundary[0], boundary[0] * (1 - 1e-9), None)]
+    for l1, l2, width in pairs:
+        l1, l2 = complex(l1), complex(l2)
+        if l1 == l2 or max(abs(l1), abs(l2)) >= 1:
+            continue
+        a, b = mpmath.mpc(l1), mpmath.mpc(l2)
+        rho = abs(a - b) / abs(1 - mpmath.conj(a) * b)
+        exact = 2 * rho / (1 + mpmath.sqrt(1 - rho * rho))
+        lo, hi = gleason_distance_hardy(l1, l2)
+        assert 0.0 <= lo <= exact <= hi <= 2.0, (l1, l2)
+        if width is not None:
+            assert hi - lo <= width
+
+
 def test_disc_distance_validation():
     with pytest.raises(DomainViolation):
         gleason_distance_hardy(0.3, 0.3)
@@ -100,6 +203,16 @@ def test_trivial_parts_certified_on_unit_sup():
     for pair in rep["pairs"]:
         assert pair["np_value"] == pytest.approx(1.0)
         assert pair["certified_distance_lower"] == pytest.approx(2.0)
+
+
+def test_trivial_parts_certified_on_sup_subalgebra():
+    alg = FiniteAlgebra(3, "weighted_sup", basis=[[1, 1, 0], [0, 0, 1]])
+    rep = certify_trivial_parts(alg, [1, 3])
+    assert rep["claimed_np_infty"]
+    assert rep["all_pairs_certified_trivial"]
+    assert rep["consistent"]
+    assert rep["pairs"][0]["np_value"] == pytest.approx(1.0)
+    assert gleason_distance_finite(alg, 1, 3) == (2.0, 2.0)
 
 
 def test_trivial_parts_vacuous_on_l1():
