@@ -47,6 +47,18 @@ for alg, label in ((FiniteAlgebra(2, "weighted_sup"), "unit-weight sup"),
 rep = certify_trivial_parts(FiniteAlgebra(3, "weighted_sup"), [1, 2, 3])
 print(f"\nunit sup: all pairs certified trivial = "
       f"{rep['all_pairs_certified_trivial']}")
+
+## A subalgebra: on the span of (1, 1, 0) and (0, 0, 1), coordinates 1 and 2
+## are one character (distance 0, one part), and coordinate 3 is apart
+sub = FiniteAlgebra(3, "weighted_sup", basis=[[1, 1, 0], [0, 0, 1]])
+rep = part_partition(sub, [1, 2, 3])
+print(f"block subalgebra: d(1,2) = {rep.distances[0][1]}, "
+      f"d(1,3) = {rep.distances[0][2]}, partition {rep.partition}")
+rep = certify_trivial_parts(sub, [1, 2, 3])
+print("  same character: "
+      f"{[p['pair'] for p in rep['pairs'] if p['same_character']]}, other pairs "
+      f"certified trivial = {rep['all_pairs_certified_trivial']}")
+
 rep = certify_trivial_parts("hardy", [0.0, 0.5])
 print(f"disc pair (0, 1/2): sign-pair norm {rep['pairs'][0]['np_value']:.6f} "
       f"> 1, no certification, shared part stands")

@@ -31,7 +31,6 @@ from .core import (
     SolverStall,
     TailBoundFailure,
     UnknownBackend,
-    UnsupportedForSubalgebra,
     ValidationError,
     compute_np_norm,
     sup_lower_bound,

@@ -19,17 +19,18 @@ import numpy as np
 from . import gleason as gleason_mod
 from . import kernels, verify
 from .core import (
+    FINITE_NORM_KINDS,
     InterpolationProblem,
     Site,
     SolverError,
     SolverStall,
     ValidationError,
     compute_np_norm,
+    finite_algebra,
     sup_lower_bound,
     validate_problem,
     BACKEND_SITE_KIND,
 )
-from .finitemodel import FiniteAlgebra
 
 EXIT_OK = 0
 EXIT_IO = 1
@@ -95,6 +96,13 @@ def parse_problem(doc: dict, tol_override: float | None = None) -> Interpolation
     if not isinstance(tolerance, (int, float)) or not tolerance > 0:
         raise ParseError("tolerance", "expected a positive number")
 
+    return InterpolationProblem(backend=backend, sites=tuple(sites),
+                                targets=targets, tolerance=float(tolerance),
+                                params=_parse_params(doc))
+
+
+def _parse_params(doc: dict) -> dict | None:
+    """``backend_params`` with the basis entries parsed as complex numbers."""
     params = doc.get("backend_params")
     if params is not None and not isinstance(params, dict):
         raise ParseError("backend_params", "expected an object")
@@ -109,10 +117,7 @@ def parse_problem(doc: dict, tol_override: float | None = None) -> Interpolation
                  for j, v in enumerate(row)]
                 for i, row in enumerate(basis)
             ]
-
-    return InterpolationProblem(backend=backend, sites=tuple(sites),
-                                targets=targets, tolerance=float(tolerance),
-                                params=params or None)
+    return params or None
 
 
 def _emit_json(doc: dict) -> None:
@@ -186,27 +191,18 @@ def cmd_gleason(args) -> int:
     doc = _load(args.file)
     backend = doc.get("backend")
     try:
-        if backend == "hardy":
-            raw = doc.get("sites")
-            if not isinstance(raw, list) or len(raw) < 2:
-                raise ParseError("sites", "need at least two sites")
-            sites = [_as_complex(v, f"sites[{i}]") for i, v in enumerate(raw)]
-            target = "hardy"
-        elif backend in ("finite_sup", "finite_l1", "finite_lp"):
-            params = doc.get("backend_params") or {}
-            kind = {"finite_sup": "weighted_sup", "finite_l1": "weighted_l1",
-                    "finite_lp": "lp"}[backend]
-            raw = doc.get("sites")
-            if not isinstance(raw, list) or len(raw) < 2:
-                raise ParseError("sites", "need at least two sites")
-            sites = [int(v) for v in raw]
-            dim = params.get("dimension") or (len(params["weights"])
-                                              if params.get("weights") else max(sites))
-            target = FiniteAlgebra(dim, kind, weights=params.get("weights"),
-                                   p=params.get("p"))
-        else:
+        if backend != "hardy" and backend not in FINITE_NORM_KINDS:
             raise ParseError("backend",
                              f"backend {backend!r} has no part diagnostics")
+        raw = doc.get("sites")
+        if not isinstance(raw, list) or len(raw) < 2:
+            raise ParseError("sites", "need at least two sites")
+        if backend == "hardy":
+            sites = [_as_complex(v, f"sites[{i}]") for i, v in enumerate(raw)]
+            target = "hardy"
+        else:
+            sites = [int(v) for v in raw]
+            target = finite_algebra(backend, _parse_params(doc), sites)
         slack = doc.get("part_slack", 1e-6)
         report = gleason_mod.part_partition(target, sites, part_slack=slack)
     except ParseError as exc:
@@ -238,6 +234,7 @@ def cmd_gleason(args) -> int:
             "pairs": [
                 {"pair": [(_complex_out(x) if backend == "hardy" else int(x))
                           for x in p["pair"]],
+                 "same_character": p["same_character"],
                  "np_value": p["np_value"],
                  "trivial_certified": p["trivial_certified"]}
                 for p in check["pairs"]

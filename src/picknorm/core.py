@@ -41,6 +41,12 @@ BACKEND_SITE_KIND = {
     "finite_lp": "coordinate_index",
 }
 
+FINITE_NORM_KINDS = {
+    "finite_sup": "weighted_sup",
+    "finite_l1": "weighted_l1",
+    "finite_lp": "lp",
+}
+
 DEFAULT_TOLERANCE = 1e-9
 
 
@@ -77,10 +83,6 @@ class UnknownBackend(ValidationError):
 
 
 class NonpositiveLevel(ValidationError):
-    pass
-
-
-class UnsupportedForSubalgebra(ValidationError):
     pass
 
 
@@ -271,7 +273,7 @@ def validate_problem(p: InterpolationProblem) -> None:
             if v.imag != 0.0 or v.real != int(v.real):
                 raise DomainViolation(f"site {i}: character must be an integer")
     else:  # finite backends
-        dim = _finite_dimension(p)
+        dim = _finite_dimension(p.params or {})
         for i, s in enumerate(p.sites):
             v = complex(s.value)
             if v.imag != 0.0 or v.real != int(v.real):
@@ -282,13 +284,26 @@ def validate_problem(p: InterpolationProblem) -> None:
                     f"site {i}: coordinate index {idx} outside 1..{dim}")
 
 
-def _finite_dimension(p: InterpolationProblem) -> int | None:
-    params = p.params or {}
+def _finite_dimension(params: dict) -> int | None:
     if "dimension" in params:
         return int(params["dimension"])
     if "weights" in params and params["weights"] is not None:
         return len(params["weights"])
     return None
+
+
+def finite_algebra(backend: str, params: dict | None, sites: Sequence[int]):
+    """The FiniteAlgebra a finite backend's ``backend_params`` describe.
+
+    ``params`` may carry ``dimension``, ``weights``, ``p`` and ``basis``;
+    without a dimension it is the weights' length, else the largest site.
+    """
+    from .finitemodel import FiniteAlgebra
+    params = params or {}
+    dim = _finite_dimension(params)
+    return FiniteAlgebra(max(sites) if dim is None else dim, FINITE_NORM_KINDS[backend],
+                         weights=params.get("weights"), p=params.get("p"),
+                         basis=params.get("basis"))
 
 
 def compute_np_norm(p: InterpolationProblem) -> NormResult:
@@ -298,7 +313,6 @@ def compute_np_norm(p: InterpolationProblem) -> NormResult:
     result.lower >= sup_lower_bound(targets) within the tolerance.
     """
     validate_problem(p)
-    params = p.params or {}
 
     if p.backend == "hardy":
         from . import hardy
@@ -322,20 +336,6 @@ def compute_np_norm(p: InterpolationProblem) -> NormResult:
 
     # finite backends
     from . import finitemodel
-    kind = {"finite_sup": "weighted_sup",
-            "finite_l1": "weighted_l1",
-            "finite_lp": "lp"}[p.backend]
-    dim = _finite_dimension(p)
     subset = [int(complex(s.value).real) for s in p.sites]
-    if dim is None:
-        dim = max(subset)
-    alg = finitemodel.FiniteAlgebra(
-        dimension=dim,
-        norm_kind=kind,
-        weights=params.get("weights"),
-        p=params.get("p"),
-        basis=params.get("basis"),
-    )
-    if alg.basis is None:
-        return finitemodel.np_norm_closed_form(alg, subset, p.targets)
-    return finitemodel.np_norm_generic(alg, subset, p.targets, p.tolerance)
+    alg = finite_algebra(p.backend, p.params, subset)
+    return finitemodel.np_norm_closed_form(alg, subset, p.targets)

@@ -6,8 +6,24 @@ The model algebra is C^n under pointwise product with one of three norms:
 weighted sup (max w_i|x_i|, w_i >= 1), weighted l1 (sum w_i|x_i|, w_i >= 1),
 or plain lp (p >= 1).  Coordinate functionals are the characters.  An
 optional basis restricts to a subalgebra, checked for multiplicative
-closure; interpolation then happens inside the span, which can fail
-(InfeasibleCoset) when the functionals are dependent on it.
+closure.
+
+Every multiplicatively closed subspace of C^n is spanned by the indicators
+of disjoint coordinate blocks (the idempotents of C^n are 0/1 vectors), so
+an element is one value per block and coordinates outside every block
+vanish.  Interpolation norms therefore have closed forms on every
+subalgebra: each constrained block takes its target and free blocks are
+zero, giving
+
+    max_b W_b |a_b|               weighted sup, W_b = max_{i in b} w_i
+    sum_b S_b |a_b|               weighted l1,  S_b = sum_{i in b} w_i
+    (sum_b |b| |a_b|^p)^(1/p)     lp
+
+Full C^n is the case of singleton blocks.  Interpolation fails
+(InfeasibleCoset) when two sites of one block get different targets, or a
+site outside every block a nonzero one.  The generic solver
+``np_norm_generic`` is the reference oracle for these forms, and the only
+solver for plain subspaces (the annihilator probe).
 """
 
 from __future__ import annotations
@@ -23,8 +39,7 @@ from .core import (
     DomainViolation,
     InfeasibleCoset,
     NormResult,
-    SolverError,
-    UnsupportedForSubalgebra,
+    SolverStall,
     make_result,
     sup_lower_bound,
 )
@@ -123,8 +138,8 @@ class FiniteAlgebra:
 class NPInftyVerdict:
     """Outcome of the sup-norm-property search.
 
-    ``exact`` is True when the closed forms decide the property outright
-    (full C^n); otherwise the verdict is sampling-limited.
+    ``exact`` says the closed forms decide the property outright; it is
+    True on every algebra since subalgebras have closed forms too.
     """
 
     is_np_infty: bool
@@ -133,37 +148,88 @@ class NPInftyVerdict:
     checked: int
 
 
-def _subset_indices(subset) -> list[int]:
+def _subset_indices(subset, dimension: int) -> list[int]:
     idx = [int(i) for i in subset]
     if len(set(idx)) != len(idx):
         raise DomainViolation("subset indices must be distinct")
     if any(i < 1 for i in idx):
         raise DomainViolation("subset indices are 1-based")
+    if any(i > dimension for i in idx):
+        raise DomainViolation("subset index outside 1..n")
     return idx
 
 
-def np_norm_closed_form(alg: FiniteAlgebra, subset, targets) -> NormResult:
-    """Exact interpolation norm on full C^n: free coordinates set to zero.
+def _blocks(alg: FiniteAlgebra) -> np.ndarray:
+    """Block label of every coordinate, -1 for one outside every block.
 
-    weighted_sup -> max w_i|a_i|; weighted_l1 -> sum w_i|a_i|;
-    lp -> (sum |a_i|^p)^{1/p}.  Zero-width bracket.
+    The blocks are the classes of equal nonzero basis columns, compared
+    within the closure check's 1e-12 * scale.  A span of block indicators
+    has as many blocks as dimensions; when the counts differ, the span is
+    not an algebra and its coordinates are not characters.
     """
-    if alg.basis is not None:
-        raise UnsupportedForSubalgebra(
-            "closed forms hold on full C^n only; use np_norm_generic")
-    idx = _subset_indices(subset)
-    if any(i > alg.dimension for i in idx):
-        raise DomainViolation("subset index outside 1..n")
+    if alg.basis is None:
+        return np.arange(alg.dimension)
+    B = alg.basis
+    tol = 1e-12 * max(1.0, float(np.max(np.abs(B)) ** 2))
+    labels = np.full(alg.dimension, -1)
+    columns = []
+    for k in range(alg.dimension):
+        col = B[:, k]
+        if np.max(np.abs(col)) <= tol:
+            continue
+        for b, rep in enumerate(columns):
+            if np.max(np.abs(col - rep)) <= tol:
+                labels[k] = b
+                break
+        else:
+            labels[k] = len(columns)
+            columns.append(col)
+    rank = np.linalg.matrix_rank(B)
+    if len(columns) != rank:
+        raise DomainViolation(
+            f"the span is not an algebra: {len(columns)} distinct coordinate "
+            f"columns against rank {rank}")
+    return labels
+
+
+def np_norm_closed_form(alg: FiniteAlgebra, subset, targets) -> NormResult:
+    """Exact interpolation norm on C^n or any subalgebra of it.
+
+    Sites are grouped by coordinate block (see the module docstring): the
+    targets of sites in one block must be equal, and a site outside every
+    block must have target 0, or InfeasibleCoset is raised.  With a_b the
+    target of block b, the value is max_b W_b|a_b| (weighted_sup),
+    sum_b S_b|a_b| (weighted_l1) or (sum_b |b| |a_b|^p)^{1/p} (lp), summed
+    over the constrained blocks in subset order.  Zero-width bracket.  A
+    plain subspace that is not an algebra raises DomainViolation.
+    """
+    idx = _subset_indices(subset, alg.dimension)
     a = np.asarray(targets, dtype=complex).ravel()
     if len(a) != len(idx):
         raise DomainViolation("subset and targets must have equal length")
-    w = alg.weights[np.asarray(idx) - 1]
+    labels = _blocks(alg)
+    sel = labels[np.asarray(idx, dtype=int) - 1]
+    first: dict[int, int] = {}  # block -> position of its first site
+    for k, b in enumerate(sel.tolist()):
+        if b < 0:
+            if a[k] != 0:
+                raise InfeasibleCoset(
+                    f"coordinate {idx[k]} vanishes on the span but has target {a[k]}")
+        elif a[first.setdefault(b, k)] != a[k]:
+            raise InfeasibleCoset(
+                f"coordinates {idx[first[b]]} and {idx[k]} lie in one block "
+                "but have different targets")
+    keep = list(first.values())
+    in_block = labels == sel[keep][:, None]  # (blocks, n)
+    w = np.where(in_block, alg.weights, 0.0)
+    ab = np.abs(a[keep])
     if alg.norm_kind == "weighted_sup":
-        value = float(np.max(w * np.abs(a))) if len(a) else 0.0
+        value = float(np.max(np.max(w, axis=1) * ab)) if keep else 0.0
     elif alg.norm_kind == "weighted_l1":
-        value = float(np.sum(w * np.abs(a)))
+        value = float(np.sum(np.sum(w, axis=1) * ab))
     else:
-        value = float(np.sum(np.abs(a) ** alg.p) ** (1.0 / alg.p))
+        size = np.sum(in_block, axis=1)
+        value = float(np.sum(size * ab ** alg.p) ** (1.0 / alg.p))
     floor = sup_lower_bound(a)
     return make_result(value, value, floor,
                        {"method": "closed_form", "free_coordinates": "zero"})
@@ -181,13 +247,11 @@ def _coset_parametrization(alg: FiniteAlgebra, idx: list[int], a: np.ndarray):
     if resid > 1e-9 * max(1.0, float(np.max(np.abs(a))) if len(a) else 1.0):
         raise InfeasibleCoset(
             f"subalgebra cannot interpolate the targets (residual {resid:.3e})")
-    # null space of E
-    if E.shape[0] >= E.shape[1]:
-        null = np.zeros((E.shape[1], 0), dtype=complex)
-    else:
-        _, s, vh = np.linalg.svd(E)
-        rank = int(np.sum(s > 1e-13 * max(1.0, s[0] if len(s) else 1.0)))
-        null = vh[rank:].conj().T
+    # null space of E; E can be square or tall and still rank-deficient,
+    # when two sites lie in one block
+    _, s, vh = np.linalg.svd(E)
+    rank = int(np.sum(s > 1e-13 * max(1.0, s[0] if len(s) else 1.0)))
+    null = vh[rank:].conj().T
     x0 = B.T @ coef0
     directions = B.T @ null  # (n, d)
     return x0, directions
@@ -197,15 +261,15 @@ def np_norm_generic(alg: FiniteAlgebra, subset, targets,
                     tolerance: float = 1e-8) -> NormResult:
     """Minimize the algebra norm over the interpolation coset.
 
-    Polyhedral LP with adaptive modulus cuts for the sup/l1 kinds (the LP
-    relaxation value is a certified lower bound, the evaluated norm of the
-    solution a certified upper bound); smooth convex descent plus a Hoelder
-    dual certificate for lp with p > 1.  Agrees with np_norm_closed_form on
-    full C^n.
+    Polyhedral LP with adaptive modulus cuts for the sup/l1 kinds; the lower
+    end is the relaxation's objective as HiGHS reports it, within its 1e-7
+    feasibility tolerance rather than certified.  Smooth convex descent plus
+    a Hoelder dual bound for lp with p > 1.  The upper end is the evaluated
+    norm of the returned interpolant.  When the bracket stays wider than
+    ``tolerance * max(1, upper)``, SolverStall carries it in ``partial``.  This is the reference oracle for np_norm_closed_form, and
+    the solver for plain subspaces, which have no closed form.
     """
-    idx = _subset_indices(subset)
-    if any(i > alg.dimension for i in idx):
-        raise DomainViolation("subset index outside 1..n")
+    idx = _subset_indices(subset, alg.dimension)
     a = np.asarray(targets, dtype=complex).ravel()
     if len(a) != len(idx):
         raise DomainViolation("subset and targets must have equal length")
@@ -218,11 +282,15 @@ def np_norm_generic(alg: FiniteAlgebra, subset, targets,
         lower, upper, x = _generic_lp(alg, x0, N, tolerance)
         method = "generic_lp"
     else:
-        lower, upper, x = _generic_lp_smooth(alg, x0, N, tolerance)
+        lower, upper, x = _generic_lp_smooth(alg, x0, N)
         method = "generic_descent"
     cert = {"method": method, "minimizer": [[float(v.real), float(v.imag)]
                                             for v in x]}
-    return make_result(max(lower, 0.0), upper, floor, cert)
+    result = make_result(max(lower, 0.0), upper, floor, cert)
+    if result.width() > max(tolerance, 1e-11) * max(1.0, result.upper):
+        raise SolverStall(f"{method} bracket width {result.width():.3e} above "
+                          f"tolerance {tolerance:.1e}", partial=result)
+    return result
 
 
 def _generic_lp(alg: FiniteAlgebra, x0: np.ndarray, N: np.ndarray,
@@ -267,14 +335,17 @@ def _generic_lp(alg: FiniteAlgebra, x0: np.ndarray, N: np.ndarray,
     return lower, upper, best_x
 
 
-def _generic_lp_smooth(alg: FiniteAlgebra, x0: np.ndarray, N: np.ndarray,
-                       tolerance: float):
+def _generic_lp_smooth(alg: FiniteAlgebra, x0: np.ndarray, N: np.ndarray):
     """Smooth convex descent for the lp kinds (p > 1), with a Hoelder dual
-    certificate on full C^n."""
+    bound.
+
+    The Hoelder vector g = |x|^(p-1) e^(i arg x) at the minimizer, projected
+    onto ker N^* (least squares), pairs to Re<g, x0> with every point of the
+    coset, so Re<g, x0> / ||g||_q bounds every feasible norm from below.
+    """
     from scipy.optimize import minimize
 
     p = alg.p
-    n = alg.dimension
     d = N.shape[1]
 
     def unpack(v):
@@ -294,34 +365,20 @@ def _generic_lp_smooth(alg: FiniteAlgebra, x0: np.ndarray, N: np.ndarray,
         gu = N.conj().T @ g_x
         return val, np.concatenate([gu.real, gu.imag])
 
-    if d == 0:
-        val = alg.norm(x0)
-        return val - 1e-12 * max(1.0, val), val, x0
-
-    v0 = np.zeros(2 * d)
-    res = minimize(fun_grad, v0, jac=True, method="L-BFGS-B",
-                   options={"maxiter": 500, "ftol": 1e-15, "gtol": 1e-12})
-    x = unpack(res.x)
+    x = x0
+    if d:
+        res = minimize(fun_grad, np.zeros(2 * d), jac=True, method="L-BFGS-B",
+                       options={"maxiter": 500, "ftol": 1e-15, "gtol": 1e-12})
+        x = unpack(res.x)
     upper = alg.norm(x)
 
-    lower = 0.0
-    if alg.basis is None:
-        # Hoelder certificate: g supported on the constrained coordinates is
-        # constant on the coset, so Re<g, .>/||g||_q bounds every feasible norm
-        q = math.inf if p == 1.0 else p / (p - 1.0)
-        free = np.zeros(n, dtype=bool)
-        if d:
-            free = np.any(np.abs(N) > 1e-13, axis=1)
-        g = np.where(free, 0.0, np.abs(x) ** (p - 1.0) * np.exp(1j * np.angle(x)))
-        if q == math.inf:
-            gq = float(np.max(np.abs(g)))
-        else:
-            gq = float(np.sum(np.abs(g) ** q) ** (1.0 / q))
-        if gq > 0:
-            lower = float(np.real(np.sum(np.conj(g) * x))) / gq
-    else:
-        lower = max(0.0, upper - max(tolerance, 1e-9) * max(1.0, upper))
-    return lower, upper, x
+    g = np.abs(x) ** (p - 1.0) * np.exp(1j * np.angle(x))
+    if d:
+        g = g - N @ np.linalg.lstsq(N, g, rcond=None)[0]
+    q = p / (p - 1.0)
+    gq = float(np.sum(np.abs(g) ** q) ** (1.0 / q))
+    lower = float(np.real(np.sum(np.conj(g) * x0))) / gq if gq > 0 else 0.0
+    return min(lower, upper), upper, x
 
 
 def np_infty_test(alg: FiniteAlgebra, sample_budget: int = 200,
@@ -331,62 +388,37 @@ def np_infty_test(alg: FiniteAlgebra, sample_budget: int = 200,
     Site subsets up to size min(n, 4) are enumerated with deterministic
     extreme target patterns (unimodular sign patterns, coordinate
     indicators) before ``sample_budget`` seeded random targets; the first
-    gap > tolerance is returned as a reproducible witness.  On full C^n the
-    closed forms make the verdict exact; otherwise it is sampling-limited.
+    gap > tolerance is returned as a reproducible witness.  Every value comes
+    from the block closed form, so the norms are exact on every algebra;
+    targets that a subalgebra cannot interpolate are skipped.
     """
     n = alg.dimension
-    exact = alg.basis is None
     rng = np.random.default_rng(seed)
+    subsets = [idx for size in range(1, min(n, 4) + 1)
+               for idx in itertools.combinations(range(1, n + 1), size)]
+
+    def candidates():
+        for idx in subsets:
+            for signs in itertools.product((1.0, -1.0), repeat=len(idx)):
+                yield idx, np.asarray(signs, dtype=complex)
+            yield from ((idx, e) for e in np.eye(len(idx), dtype=complex))
+        for _ in range(sample_budget):
+            idx = subsets[int(rng.integers(len(subsets)))]
+            yield idx, rng.standard_normal(len(idx)) + 1j * rng.standard_normal(len(idx))
+
     checked = 0
-
-    def np_value(idx, a):
-        if alg.basis is None:
-            return np_norm_closed_form(alg, idx, a).upper
-        try:
-            return np_norm_generic(alg, idx, a, tolerance=1e-10).upper
-        except InfeasibleCoset:
-            return None
-
-    def try_targets(idx, a):
-        nonlocal checked
-        a = np.asarray(a, dtype=complex)
-        if not np.any(np.abs(a) > 0):
-            return None
+    for idx, a in candidates():
         checked += 1
-        v = np_value(idx, a)
-        if v is None:
-            return None
+        try:
+            v = np_norm_closed_form(alg, idx, a).upper
+        except InfeasibleCoset:
+            continue
         sup = float(np.max(np.abs(a)))
         if v > sup + tolerance:
-            return {"subset": list(idx), "targets": [complex(z) for z in a],
-                    "np_value": float(v), "sup_value": sup}
-        return None
-
-    subsets = []
-    for size in range(1, min(n, 4) + 1):
-        subsets.extend(itertools.combinations(range(1, n + 1), size))
-
-    for idx in subsets:
-        size = len(idx)
-        for signs in itertools.product((1.0, -1.0), repeat=size):
-            w = try_targets(idx, np.asarray(signs, dtype=complex))
-            if w:
-                return NPInftyVerdict(False, w, exact, checked)
-        for j in range(size):
-            e = np.zeros(size, dtype=complex)
-            e[j] = 1.0
-            w = try_targets(idx, e)
-            if w:
-                return NPInftyVerdict(False, w, exact, checked)
-
-    for _ in range(sample_budget):
-        idx = subsets[int(rng.integers(len(subsets)))]
-        a = rng.standard_normal(len(idx)) + 1j * rng.standard_normal(len(idx))
-        w = try_targets(idx, a)
-        if w:
-            return NPInftyVerdict(False, w, exact, checked)
-
-    return NPInftyVerdict(True, None, exact, checked)
+            witness = {"subset": list(idx), "targets": [complex(z) for z in a],
+                       "np_value": float(v), "sup_value": sup}
+            return NPInftyVerdict(False, witness, True, checked)
+    return NPInftyVerdict(True, None, True, checked)
 
 
 def annihilating_functional(basis) -> np.ndarray | None:
@@ -465,6 +497,8 @@ def scattered_contradiction_check(basis_or_alg, tolerance: float = 1e-9,
     }
     try:
         result = np_norm_generic(alg, subset, targets, tolerance=1e-9)
+    except SolverStall as exc:
+        result = exc.partial  # the branches read only its evaluated interpolant
     except InfeasibleCoset:
         report["branch"] = "interpolation_impossible"
         report["detail"] = ("the proper subspace cannot interpolate the sign "

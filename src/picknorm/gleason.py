@@ -16,16 +16,14 @@ by the relative bound 8u(1 + |l1||l2| / |1 - conj(l1) l2|), with
 u = 2^-53, and d, increasing in rho and free of cancellation, is evaluated
 at both ends and widened by 8u more.
 
-On a finite model every multiplicatively closed subspace of C^n is spanned
-by the indicators of disjoint coordinate blocks (the idempotents of C^n are
-0/1 vectors), so an element is one value per block and coordinates outside
-every block vanish.  For coordinates in blocks b != c the distance is
+On a finite model the coordinates fall into the blocks that span the
+algebra (see ``finitemodel``).  For coordinates in blocks b != c it is
 
     1/W_b + 1/W_c                    weighted sup, W_b = max_{i in b} w_i
     max(1/S_b, 1/S_c)                weighted l1,  S_b = sum_{i in b} w_i
     (|b|^(1-q) + |c|^(1-q))^(1/q)    lp, q = p/(p-1); max(1/|b|, 1/|c|) at p = 1
 
-and it is 0 inside one block.  Full C^n is the case of singleton blocks.
+and it is 0 inside one block.
 
 The consistency check mirrors the norm-one interpolation argument: if
 targets (1, -1) can be interpolated with norm arbitrarily close to 1, then
@@ -42,9 +40,10 @@ import numpy as np
 from .core import DomainViolation
 from .finitemodel import (
     FiniteAlgebra,
+    _blocks,
+    _subset_indices,
     np_infty_test,
     np_norm_closed_form,
-    np_norm_generic,
 )
 # is_feasible is unused here but stays bound: the benchmark's tracer patches
 # it in every module (perfbench/test_counts.py::test_tracer_restores_the_library)
@@ -102,39 +101,6 @@ def gleason_distance_hardy(lam1: complex, lam2: complex,
     return (lower, min(2.0, upper))
 
 
-def _blocks(alg: FiniteAlgebra) -> np.ndarray:
-    """Block label of every coordinate, -1 for one outside every block.
-
-    The blocks are the classes of equal nonzero basis columns, compared
-    within the closure check's 1e-12 * scale.  A span of block indicators
-    has as many blocks as dimensions; when the counts differ, the span is
-    not an algebra and its coordinates are not characters.
-    """
-    if alg.basis is None:
-        return np.arange(alg.dimension)
-    B = alg.basis
-    tol = 1e-12 * max(1.0, float(np.max(np.abs(B)) ** 2))
-    labels = np.full(alg.dimension, -1)
-    columns = []
-    for k in range(alg.dimension):
-        col = B[:, k]
-        if np.max(np.abs(col)) <= tol:
-            continue
-        for b, rep in enumerate(columns):
-            if np.max(np.abs(col - rep)) <= tol:
-                labels[k] = b
-                break
-        else:
-            labels[k] = len(columns)
-            columns.append(col)
-    rank = np.linalg.matrix_rank(B)
-    if len(columns) != rank:
-        raise DomainViolation(
-            f"the span is not an algebra: {len(columns)} distinct coordinate "
-            f"columns against rank {rank}")
-    return labels
-
-
 def gleason_distance_finite(alg: FiniteAlgebra, i: int, j: int) -> tuple[float, float]:
     """Interval for sup{|x_i - x_j| : ||x|| <= 1} on a finite model.
 
@@ -181,45 +147,43 @@ def certify_trivial_parts(backend, sites, tolerance: float = 1e-9) -> dict:
     distinct parts.  The report passes iff backends whose every
     interpolation norm is the sup norm get all pairs certified, and no
     certification is ever claimed from a norm bounded away from 1.  On a
-    finite subalgebra the norms come from ``np_norm_generic``, which raises
-    ``InfeasibleCoset`` for two sites in one block (one character).
+    finite model the norms are the block closed forms; two sites in one
+    block are one character, reported with ``same_character`` set, no
+    norm, and left out of ``all_pairs_certified_trivial``.
     """
-    pairs = []
     if isinstance(backend, FiniteAlgebra):
-        verdict = np_infty_test(backend, sample_budget=64)
-        claimed = verdict.is_np_infty
-        norm = np_norm_closed_form if backend.basis is None else np_norm_generic
-        idx = [int(s) for s in sites]
-        for u in range(len(idx)):
-            for v in range(u + 1, len(idx)):
-                r = norm(backend, [idx[u], idx[v]], [1.0, -1.0])
-                np_val = r.upper
-                certified = np_val <= 1.0 + tolerance
-                pairs.append({
-                    "pair": (idx[u], idx[v]),
-                    "np_value": float(np_val),
-                    "certified_distance_lower": 2.0 / np_val if certified else None,
-                    "trivial_certified": bool(certified),
-                })
-    else:
-        if backend != "hardy":
-            raise DomainViolation(f"unsupported backend {backend!r}")
-        claimed = False  # distinct disc points always share the interior part
-        lams = [complex(s) for s in sites]
-        for u in range(len(lams)):
-            for v in range(u + 1, len(lams)):
-                r = np_norm_hardy([lams[u], lams[v]], [1.0, -1.0],
-                                  max(tolerance, 1e-9))
-                np_val = r.upper
-                certified = np_val <= 1.0 + tolerance
-                pairs.append({
-                    "pair": (lams[u], lams[v]),
-                    "np_value": float(np_val),
-                    "certified_distance_lower": 2.0 / np_val if certified else None,
-                    "trivial_certified": bool(certified),
-                })
+        claimed = np_infty_test(backend, sample_budget=64).is_np_infty
+        sites = _subset_indices(sites, backend.dimension)
+        labels = dict(zip(sites, _blocks(backend)[np.asarray(sites, dtype=int) - 1]))
 
-    all_certified = all(p["trivial_certified"] for p in pairs)
+        def sign_norm(s, t):
+            if labels[s] == labels[t] >= 0:
+                return None
+            return np_norm_closed_form(backend, [s, t], [1.0, -1.0]).upper
+    elif backend == "hardy":
+        claimed = False  # distinct disc points always share the interior part
+        sites = [complex(s) for s in sites]
+
+        def sign_norm(s, t):
+            return np_norm_hardy([s, t], [1.0, -1.0], max(tolerance, 1e-9)).upper
+    else:
+        raise DomainViolation(f"unsupported backend {backend!r}")
+
+    pairs = []
+    for u in range(len(sites)):
+        for v in range(u + 1, len(sites)):
+            np_val = sign_norm(sites[u], sites[v])
+            certified = np_val is not None and np_val <= 1.0 + tolerance
+            pairs.append({
+                "pair": (sites[u], sites[v]),
+                "same_character": np_val is None,
+                "np_value": None if np_val is None else float(np_val),
+                "certified_distance_lower": 2.0 / np_val if certified else None,
+                "trivial_certified": bool(certified),
+            })
+
+    all_certified = all(p["trivial_certified"] for p in pairs
+                        if not p["same_character"])
     consistent = (not claimed) or all_certified
     return {
         "claimed_np_infty": bool(claimed),

@@ -134,6 +134,24 @@ def test_gleason_finite_with_trivial_report(tmp_path, capsys):
     assert rep["theorem4"]["consistent"]
 
 
+def test_gleason_finite_honours_basis(tmp_path, capsys):
+    doc = {
+        "backend": "finite_sup",
+        "sites": [1, 2, 3],
+        "backend_params": {"basis": [[1, 1, 0], [[0, 0], [0, 0], [1, 0]]]},
+    }
+    path = write(tmp_path, "g.json", doc)
+    code, out, _ = run_cli(capsys, "gleason", path, "--theorem4")
+    assert code == 0
+    rep = json.loads(out)
+    assert rep["distances"][0][1] == [0.0, 0.0]
+    assert rep["distances"][0][2] == [2.0, 2.0]
+    assert rep["partition"] == [[0, 1], [2]]
+    same = rep["theorem4"]["pairs"][0]
+    assert same["same_character"] and same["np_value"] is None
+    assert rep["theorem4"]["all_pairs_certified_trivial"]
+
+
 def test_gleason_single_site_exit_2(tmp_path, capsys):
     doc = {"backend": "hardy", "sites": [[0.0, 0.0]]}
     path = write(tmp_path, "g.json", doc)

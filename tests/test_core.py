@@ -150,13 +150,13 @@ def test_determinism():
     assert r1.certificate == r2.certificate
 
 
-def test_dispatch_finite_with_basis_uses_generic():
+def test_dispatch_finite_with_basis_uses_closed_form():
     sites = (Site("coordinate_index", 1),)
     p = InterpolationProblem("finite_sup", sites, (3.0 + 0j,), 1e-9,
                              {"dimension": 2, "basis": [[1.0, 1.0]]})
     r = compute_np_norm(p)
-    assert r.upper == pytest.approx(3.0, abs=1e-8)
-    assert r.certificate["method"].startswith("generic")
+    assert (r.lower, r.upper) == (3.0, 3.0)
+    assert r.certificate["method"] == "closed_form"
 
 
 def test_wiener_angle_range_enforced():

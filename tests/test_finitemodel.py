@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from picknorm import DomainViolation, InfeasibleCoset, UnsupportedForSubalgebra
+from picknorm import DomainViolation, InfeasibleCoset, SolverStall
 from picknorm.finitemodel import (
     FiniteAlgebra,
     annihilating_functional,
@@ -66,10 +66,53 @@ def test_closed_form_values():
     assert r.upper == pytest.approx(2 ** (1 / 3))
 
 
-def test_closed_form_rejects_subalgebra():
-    alg = FiniteAlgebra(2, "weighted_sup", basis=[[1, 1]])
-    with pytest.raises(UnsupportedForSubalgebra):
-        np_norm_closed_form(alg, [1], [1])
+def test_closed_form_on_subalgebra():
+    # on the diagonal of C^2 the element (a, a) has norm max(w) |a|
+    alg = FiniteAlgebra(2, "weighted_sup", weights=[1, 2], basis=[[1, 1]])
+    r = np_norm_closed_form(alg, [1], [3])
+    assert (r.lower, r.upper) == (6.0, 6.0)
+    assert r.certificate["method"] == "closed_form"
+    assert np_norm_closed_form(alg, [1, 2], [3, 3]).upper == 6.0
+
+
+def test_closed_form_on_block_subalgebras_matches_generic(random_block_algebra):
+    # sites take one value per block and 0 outside every block; the closed
+    # form must lie inside the generic bracket up to rounding.  The generic
+    # interpolant misses the targets by up to cond(basis) * eps, which moves
+    # its bracket by at most sum(w) times that residual.
+    rng = np.random.default_rng(14)
+    for kind in ("weighted_sup", "weighted_l1", "lp"):
+        for _ in range(100):
+            alg, labels = random_block_algebra(rng, kind)
+            n = int(rng.integers(1, 7))
+            subset = [int(i) + 1 for i in rng.choice(6, size=n, replace=False)]
+            values = rng.standard_normal(6) + 1j * rng.standard_normal(6)
+            a = [values[labels[i - 1]] if labels[i - 1] >= 0 else 0.0 for i in subset]
+            cf = np_norm_closed_form(alg, subset, a)
+            assert cf.lower == cf.upper
+            try:
+                g = np_norm_generic(alg, subset, a, tolerance=1e-10)
+            except SolverStall as exc:
+                g = exc.partial
+            x = np.array([complex(*v) for v in g.certificate["minimizer"]])
+            residual = np.max(np.abs(x[np.asarray(subset) - 1] - a))
+            slack = 1e-14 * max(1.0, cf.upper) + np.sum(alg.weights) * residual
+            assert g.lower - slack <= cf.upper <= g.upper + slack
+
+
+def test_closed_form_conflicting_targets_in_one_block():
+    alg = FiniteAlgebra(3, "weighted_l1", basis=[[1, 1, 0], [0, 0, 1]])
+    with pytest.raises(InfeasibleCoset, match="one block"):
+        np_norm_closed_form(alg, [1, 2], [1, -1])
+    zero_coordinate = FiniteAlgebra(3, "weighted_l1", basis=[[1, 1, 0]])
+    with pytest.raises(InfeasibleCoset, match="vanishes"):
+        np_norm_closed_form(zero_coordinate, [3], [1])
+    assert np_norm_closed_form(zero_coordinate, [1, 3], [1, 0]).upper == 2.0
+
+
+def test_closed_form_rejects_plain_subspace():
+    with pytest.raises(DomainViolation, match="not an algebra"):
+        np_norm_closed_form(FiniteAlgebra.subspace([[1, 2, 3]]), [1], [1])
 
 
 def test_generic_matches_closed_form_on_full_space():
@@ -97,10 +140,50 @@ def test_diagonal_subalgebra_cannot_separate():
         np_norm_generic(alg, [1, 2], [1, -1])
 
 
+def test_generic_keeps_free_block_with_two_sites_in_one_block():
+    # two sites pin one block of span{(1,1,1,1), (0,0,1,1)}; the block {3, 4}
+    # stays free although there are as many sites as basis vectors
+    alg = FiniteAlgebra(4, "weighted_l1", basis=[[1, 1, 1, 1], [0, 0, 1, 1]])
+    r = np_norm_generic(alg, [1, 2], [1, 1], tolerance=1e-10)
+    assert r.lower <= 2.0 + 1e-14 and r.upper == pytest.approx(2.0, abs=1e-14)
+    assert np_norm_closed_form(alg, [1, 2], [1, 1]).upper == 2.0
+
+
 def test_one_dimensional_coset():
     alg = FiniteAlgebra(2, "weighted_sup", basis=[[1, 1]])
     r = np_norm_generic(alg, [1], [3], tolerance=1e-9)
     assert r.upper == pytest.approx(3.0, abs=1e-8)
+
+
+# floor_mix draws 261, 336, 499 and 2317 (seed 1) of generic finite solves:
+# (kind, weights, subset, targets); the cut loop ends on a cut that is
+# already in its phase set, with the bracket still wider than 1e-10
+STALLED_CUT_LOOPS = [
+    ("weighted_sup", [2.392887468465484], [1],
+     [0.13078939180531735 + 0.31564991244206475j]),
+    ("weighted_sup", [2.3534050456640845], [1],
+     [-0.879303747035218 + 2.122614099088915j]),
+    ("weighted_l1", [2.8309190938026934, 2.448424494489564, 2.4870925860425825,
+                     2.6141257852362596, 1.0522692069070532], [1, 3, 5, 2],
+     [0.34417745080647266 - 1.47798374777175j, 1.024780824641908 + 0.4243662207033112j,
+      1.295841427623534 + 1.0642084919648997j, 0.8880090955273322 - 0.03302546604294163j]),
+    ("weighted_l1", [1.1927156968034616, 1.1388364143990222, 1.0250977447303786,
+                     1.4212012527610467, 2.3186084506414595, 1.8764467229133202],
+     [1, 2, 6, 5],
+     [-0.74635412291747 - 0.13559846651613697j, 0.15239542120629732 + 0.8292595573274487j,
+      0.9431585885469698 + 0.9438614323144158j, -0.07891004439711372 + 1.4751288816223238j]),
+]
+
+
+@pytest.mark.parametrize("kind, weights, subset, targets", STALLED_CUT_LOOPS)
+def test_generic_wide_bracket_stalls(kind, weights, subset, targets):
+    alg = FiniteAlgebra(len(weights), kind, weights=weights)
+    with pytest.raises(SolverStall) as info:
+        np_norm_generic(alg, subset, targets, tolerance=1e-10)
+    r = info.value.partial
+    assert r.upper - r.lower > 1e-10 * max(1.0, r.upper)
+    assert r.upper == pytest.approx(np_norm_closed_form(alg, subset, targets).upper,
+                                    abs=1e-8)
 
 
 def test_generic_weighted_l1_subalgebra_contains_closed_form():
@@ -153,6 +236,18 @@ def test_witness_reproducible():
     assert v1.witness == v2.witness
     r = np_norm_closed_form(alg, v1.witness["subset"], v1.witness["targets"])
     assert abs(r.upper - v1.witness["np_value"]) <= 1e-10
+
+
+def test_weighted_subalgebra_witness():
+    # x = (u, u, v) with weights (1, 2, 1): interpolating 1 at site 1 costs 2
+    alg = FiniteAlgebra(3, "weighted_sup", weights=[1, 2, 1],
+                        basis=[[1, 1, 0], [0, 0, 1]])
+    v = np_infty_test(alg, sample_budget=20)
+    assert not v.is_np_infty and v.exact
+    assert v.witness["subset"] == [1]
+    assert v.witness["np_value"] == 2.0
+    unit = FiniteAlgebra(3, "weighted_sup", basis=[[1, 1, 0], [0, 0, 1]])
+    assert np_infty_test(unit, sample_budget=20).is_np_infty
 
 
 def test_single_coordinate_is_sup():

@@ -55,24 +55,6 @@ def test_lp_at_p1_is_the_unit_weight_l1_norm():
     assert rep.partition == ((0, 1, 2),)
 
 
-def _random_block_algebra(rng, kind):
-    """A subalgebra of C^6 given by a mixed basis of block indicators, with
-    its block labels (-1 outside every block)."""
-    n = 6
-    k = int(rng.integers(2, 5))
-    labels = np.concatenate([np.arange(k), rng.integers(-1, k, n - k)])
-    rng.shuffle(labels)
-    indicators = np.array([labels == b for b in range(k)], dtype=float)
-    mix = rng.standard_normal((k, k)) + 1j * rng.standard_normal((k, k))
-    if kind == "lp":
-        p = 1.0 if rng.uniform() < 0.25 else float(rng.uniform(1.1, 4.0))
-        alg = FiniteAlgebra(n, "lp", p=p, basis=mix @ indicators)
-    else:
-        alg = FiniteAlgebra(n, kind, weights=rng.uniform(1.0, 3.0, n),
-                            basis=mix @ indicators)
-    return alg, labels
-
-
 def _extremal_targets(alg, in_b, in_c):
     """Values on blocks b and c at which |v_b - v_c| reaches the closed-form
     distance on the unit sphere of the block norm."""
@@ -93,13 +75,13 @@ def _extremal_targets(alg, in_b, in_c):
 
 
 @pytest.mark.parametrize("kind", ["weighted_sup", "weighted_l1", "lp"])
-def test_block_subalgebra_distance_is_the_dual_norm(kind):
+def test_block_subalgebra_distance_is_the_dual_norm(kind, random_block_algebra):
     # the generic coset minimizer is the reference: at the extremal targets
     # the interpolation norm is 1, so the distance is attained, and on
     # random targets |a_i - a_j| <= d * norm
     rng = np.random.default_rng({"weighted_sup": 1, "weighted_l1": 2, "lp": 3}[kind])
     for _ in range(6):
-        alg, labels = _random_block_algebra(rng, kind)
+        alg, labels = random_block_algebra(rng, kind)
         b, c = rng.choice(labels.max() + 1, 2, replace=False)
         i = int(rng.choice(np.flatnonzero(labels == b))) + 1
         j = int(rng.choice(np.flatnonzero(labels == c))) + 1
@@ -213,6 +195,19 @@ def test_trivial_parts_certified_on_sup_subalgebra():
     assert rep["consistent"]
     assert rep["pairs"][0]["np_value"] == pytest.approx(1.0)
     assert gleason_distance_finite(alg, 1, 3) == (2.0, 2.0)
+
+
+def test_trivial_parts_same_block_pair_is_one_character():
+    alg = FiniteAlgebra(3, "weighted_sup", basis=[[1, 1, 0], [0, 0, 1]])
+    rep = certify_trivial_parts(alg, [1, 2, 3])
+    same, *others = rep["pairs"]
+    assert same["pair"] == (1, 2) and same["same_character"]
+    assert same["np_value"] is None and not same["trivial_certified"]
+    assert [p["pair"] for p in others] == [(1, 3), (2, 3)]
+    assert all(p["trivial_certified"] and not p["same_character"] for p in others)
+    assert rep["claimed_np_infty"]
+    assert rep["all_pairs_certified_trivial"]
+    assert rep["consistent"]
 
 
 def test_trivial_parts_vacuous_on_l1():
