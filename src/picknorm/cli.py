@@ -28,7 +28,6 @@ from .core import (
     compute_np_norm,
     finite_algebra,
     sup_lower_bound,
-    validate_problem,
     BACKEND_SITE_KIND,
 )
 
@@ -56,8 +55,10 @@ def _as_complex(value, path: str) -> complex:
 
 
 def parse_problem(doc: dict, tol_override: float | None = None) -> InterpolationProblem:
-    """Validate a problem document field by field; raises ParseError with a
-    field path on the first offense."""
+    """Parse a problem document field by field; raises ParseError with a
+    field path on the first offense.  The value rules (finite, in range,
+    distinct, a positive tolerance) are ``core.validate_problem``'s, which
+    ``compute_np_norm`` applies."""
     if not isinstance(doc, dict):
         raise ParseError("$", "problem file must be a JSON object")
     backend = doc.get("backend")
@@ -65,13 +66,33 @@ def parse_problem(doc: dict, tol_override: float | None = None) -> Interpolation
         raise ParseError("backend",
                          f"unknown backend {backend!r}; expected one of "
                          f"{sorted(BACKEND_SITE_KIND)}")
-    kind = BACKEND_SITE_KIND[backend]
-
     raw_sites = doc.get("sites")
     if not isinstance(raw_sites, list) or not raw_sites:
         raise ParseError("sites", "expected a non-empty array")
+    sites = _parse_sites(BACKEND_SITE_KIND[backend], raw_sites)
+
+    raw_targets = doc.get("targets")
+    if not isinstance(raw_targets, list):
+        raise ParseError("targets", "expected an array")
+    targets = tuple(_as_complex(v, f"targets[{i}]")
+                    for i, v in enumerate(raw_targets))
+
+    tolerance = doc.get("tolerance", 1e-9)
+    if tol_override is not None:
+        tolerance = tol_override
+    if not isinstance(tolerance, (int, float)):
+        raise ParseError("tolerance", "expected a number")
+
+    return InterpolationProblem(backend=backend, sites=tuple(sites),
+                                targets=targets, tolerance=float(tolerance),
+                                params=_parse_params(doc))
+
+
+def _parse_sites(kind: str, raw: list) -> list[Site]:
+    """One Site per entry of a problem file's ``sites`` array; the value
+    rules themselves are ``core.check_sites``'s."""
     sites = []
-    for i, rv in enumerate(raw_sites):
+    for i, rv in enumerate(raw):
         path = f"sites[{i}]"
         if kind == "disc_point":
             sites.append(Site(kind, _as_complex(rv, path)))
@@ -83,22 +104,7 @@ def parse_problem(doc: dict, tol_override: float | None = None) -> Interpolation
             if not isinstance(rv, int):
                 raise ParseError(path, "expected an integer")
             sites.append(Site(kind, int(rv)))
-
-    raw_targets = doc.get("targets")
-    if not isinstance(raw_targets, list):
-        raise ParseError("targets", "expected an array")
-    targets = tuple(_as_complex(v, f"targets[{i}]")
-                    for i, v in enumerate(raw_targets))
-
-    tolerance = doc.get("tolerance", 1e-9)
-    if tol_override is not None:
-        tolerance = tol_override
-    if not isinstance(tolerance, (int, float)) or not tolerance > 0:
-        raise ParseError("tolerance", "expected a positive number")
-
-    return InterpolationProblem(backend=backend, sites=tuple(sites),
-                                targets=targets, tolerance=float(tolerance),
-                                params=_parse_params(doc))
+    return sites
 
 
 def _parse_params(doc: dict) -> dict | None:
@@ -148,7 +154,6 @@ def cmd_compute(args) -> int:
     t0 = time.perf_counter()
     try:
         problem = parse_problem(doc, args.tol)
-        validate_problem(problem)
         result = compute_np_norm(problem)
     except ParseError as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -197,11 +202,10 @@ def cmd_gleason(args) -> int:
         raw = doc.get("sites")
         if not isinstance(raw, list) or len(raw) < 2:
             raise ParseError("sites", "need at least two sites")
+        sites = [s.value for s in _parse_sites(BACKEND_SITE_KIND[backend], raw)]
         if backend == "hardy":
-            sites = [_as_complex(v, f"sites[{i}]") for i, v in enumerate(raw)]
             target = "hardy"
         else:
-            sites = [int(v) for v in raw]
             target = finite_algebra(backend, _parse_params(doc), sites)
         slack = doc.get("part_slack", 1e-6)
         report = gleason_mod.part_partition(target, sites, part_slack=slack)

@@ -14,9 +14,12 @@ algebra norm dominates the spectral norm; it is enforced at assembly time.
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 from typing import Sequence
+
+import numpy as np
 
 
 SITE_KINDS = ("disc_point", "circle_angle", "integer_character", "coordinate_index")
@@ -62,15 +65,15 @@ class ValidationError(PicknormError):
     """Input rejected before any computation (CLI exit code 2)."""
 
 
-class DuplicateSite(ValidationError):
-    pass
-
-
-class LengthMismatch(ValidationError):
-    pass
-
-
 class DomainViolation(ValidationError):
+    pass
+
+
+class DuplicateSite(DomainViolation):
+    pass
+
+
+class LengthMismatch(DomainViolation):
     pass
 
 
@@ -222,66 +225,103 @@ def sup_lower_bound(targets: Sequence[complex]) -> float:
     return max(abs(complex(a)) for a in targets)
 
 
-def validate_problem(p: InterpolationProblem) -> None:
-    """Check site invariants, lengths and tolerance; raise on violation."""
-    if p.backend not in BACKENDS:
-        raise UnknownBackend(f"unknown backend {p.backend!r}")
-    if len(p.sites) == 0:
-        raise EmptyTargets("problem has no sites")
-    if len(p.sites) != len(p.targets):
-        raise LengthMismatch(
-            f"{len(p.sites)} sites but {len(p.targets)} targets")
-    if not (p.tolerance > 0):
-        raise DomainViolation(f"tolerance must be positive, got {p.tolerance!r}")
+# The input rules, stated once.  Every public entry point calls these three
+# instead of checking its own arguments, so a value the paper's definitions
+# do not cover (a non-finite number, a truncated integer, two equal
+# functionals, a target count that does not match) is rejected the same way
+# on every path.
 
+def _integer(z: complex) -> bool:
+    # within 2**53 every integer is exact in a double and in an int64
+    return z.imag == 0.0 and z.real.is_integer() and abs(z.real) <= 2.0 ** 53
+
+
+# backend -> (the rule in words, predicate on (site, dimension)); a NaN or
+# infinite site fails every predicate
+_SITE_RULES = {
+    "hardy": ("|lambda| < 1", lambda z, dim: abs(z) < 1.0),
+    "analytic_wiener": ("|lambda| <= 1", lambda z, dim: abs(z) <= 1.0),
+    "wiener": ("a real angle in [0, 2*pi)",
+               lambda z, dim: z.imag == 0.0 and 0.0 <= z.real < 2 * math.pi),
+    "l1_torus": ("a real integer", lambda z, dim: _integer(z)),
+    **dict.fromkeys(FINITE_NORM_KINDS, (
+        "a real integer in 1..dimension",
+        lambda z, dim: _integer(z) and 1.0 <= z.real <= dim)),
+}
+
+
+def check_sites(backend: str, values, dimension: int | None = None) -> np.ndarray:
+    """The sites of ``backend`` as an array, or a ValidationError naming one.
+
+    Every value must be finite, and: inside the open disc for ``hardy``, in
+    the closed disc for ``analytic_wiener`` (both returned complex), a real
+    angle in [0, 2*pi) for ``wiener`` (returned float), a real integer for
+    ``l1_torus`` and, for the finite backends, a real integer in
+    1..``dimension`` (returned int; ``dimension=None`` checks only >= 1).
+    Integers are never truncated: 1.5 is rejected.  The sites must be
+    pairwise distinct; DuplicateSite names the first two equal ones.
+    """
+    if backend not in _SITE_RULES:
+        raise UnknownBackend(f"unknown backend {backend!r}")
+    rule, ok = _SITE_RULES[backend]
+    try:
+        v = np.asarray(values, dtype=complex).ravel()
+    except (TypeError, ValueError):
+        raise DomainViolation(f"sites must be numbers, got {values!r}") from None
+    zs = v.tolist()
+    dim = math.inf if dimension is None else dimension
+    for i, z in enumerate(zs):
+        if not ok(z, dim):
+            why = "is not finite" if not cmath.isfinite(z) else \
+                f"breaks the {backend!r} rule: {rule}"
+            raise DomainViolation(f"site {i} = {z.real if z.imag == 0 else z!r} {why}")
+    if len(set(zs)) < len(zs):
+        first: dict[complex, int] = {}
+        for j, z in enumerate(zs):
+            if first.setdefault(z, j) != j:
+                raise DuplicateSite(f"sites {first[z]} and {j} are equal ({z!r})")
+    kind = BACKEND_SITE_KIND[backend]
+    if kind == "disc_point":
+        return v
+    return v.real if kind == "circle_angle" else v.real.astype(int)
+
+
+def check_targets(targets, count: int) -> np.ndarray:
+    """The targets as a complex array: at least one (EmptyTargets), exactly
+    ``count`` (LengthMismatch) and every one finite (DomainViolation)."""
+    try:
+        a = np.asarray(targets, dtype=complex).ravel()
+    except (TypeError, ValueError):
+        raise DomainViolation(f"targets must be numbers, got {targets!r}") from None
+    if len(a) == 0:
+        raise EmptyTargets("need at least one target")
+    if len(a) != count:
+        raise LengthMismatch(f"{count} sites but {len(a)} targets")
+    for i, z in enumerate(a.tolist()):
+        if not cmath.isfinite(z):
+            raise DomainViolation(f"target {i} = {z!r} is not finite")
+    return a
+
+
+def check_tolerance(tolerance: float) -> None:
+    """A tolerance must be positive (NaN is not)."""
+    if not (tolerance > 0):
+        raise DomainViolation(f"tolerance must be positive, got {tolerance!r}")
+
+
+def validate_problem(p: InterpolationProblem) -> None:
+    """Check the backend, site kinds, sites, targets and tolerance; raise a
+    ValidationError on the first violation."""
+    check_sites(p.backend, [s.value for s in p.sites],
+                _finite_dimension(p.params or {}))
     expected = BACKEND_SITE_KIND[p.backend]
     for i, s in enumerate(p.sites):
         if s.kind != expected:
             raise DomainViolation(
                 f"site {i}: backend {p.backend!r} needs kind {expected!r}, "
                 f"got {s.kind!r}")
-
-    seen: dict[complex, int] = {}
-    for i, s in enumerate(p.sites):
-        key = complex(s.value)
-        if key in seen:
-            raise DuplicateSite(
-                f"sites {seen[key]} and {i} are equal ({s.value!r})")
-        seen[key] = i
-
-    if p.backend == "hardy":
-        for i, s in enumerate(p.sites):
-            if abs(complex(s.value)) >= 1.0:
-                raise DomainViolation(
-                    f"site {i}: |lambda| must be < 1 for the bounded-analytic "
-                    f"backend, got {s.value!r}")
-    elif p.backend == "analytic_wiener":
-        for i, s in enumerate(p.sites):
-            if abs(complex(s.value)) > 1.0:
-                raise DomainViolation(
-                    f"site {i}: |lambda| must be <= 1 for the analytic "
-                    f"coefficient-series backend, got {s.value!r}")
-    elif p.backend == "wiener":
-        for i, s in enumerate(p.sites):
-            th = complex(s.value)
-            if th.imag != 0.0 or not (0.0 <= th.real < 2 * math.pi):
-                raise DomainViolation(
-                    f"site {i}: angle must be a real in [0, 2*pi), got {s.value!r}")
-    elif p.backend == "l1_torus":
-        for i, s in enumerate(p.sites):
-            v = complex(s.value)
-            if v.imag != 0.0 or v.real != int(v.real):
-                raise DomainViolation(f"site {i}: character must be an integer")
-    else:  # finite backends
-        dim = _finite_dimension(p.params or {})
-        for i, s in enumerate(p.sites):
-            v = complex(s.value)
-            if v.imag != 0.0 or v.real != int(v.real):
-                raise DomainViolation(f"site {i}: coordinate index must be an integer")
-            idx = int(v.real)
-            if idx < 1 or (dim is not None and idx > dim):
-                raise DomainViolation(
-                    f"site {i}: coordinate index {idx} outside 1..{dim}")
+    check_targets(p.targets, len(p.sites))
+    check_tolerance(p.tolerance)
 
 
 def _finite_dimension(params: dict) -> int | None:
@@ -314,28 +354,24 @@ def compute_np_norm(p: InterpolationProblem) -> NormResult:
     """
     validate_problem(p)
 
+    values = [s.value for s in p.sites]
     if p.backend == "hardy":
         from . import hardy
-        lambdas = [s.value for s in p.sites]
-        return hardy.np_norm_hardy(lambdas, p.targets, p.tolerance)
+        return hardy.np_norm_hardy(values, p.targets, p.tolerance)
 
     if p.backend == "analytic_wiener":
         from . import seqalg
-        lambdas = [s.value for s in p.sites]
-        return seqalg.np_norm_analytic_wiener(lambdas, p.targets, p.tolerance)
+        return seqalg.np_norm_analytic_wiener(values, p.targets, p.tolerance)
 
     if p.backend == "wiener":
         from . import seqalg
-        thetas = [float(complex(s.value).real) for s in p.sites]
-        return seqalg.np_norm_wiener(thetas, p.targets, p.tolerance)
+        return seqalg.np_norm_wiener(values, p.targets, p.tolerance)
 
     if p.backend == "l1_torus":
         from . import seqalg
-        ks = [int(complex(s.value).real) for s in p.sites]
-        return seqalg.np_norm_l1_torus(ks, p.targets, p.tolerance)
+        return seqalg.np_norm_l1_torus(values, p.targets, p.tolerance)
 
     # finite backends
     from . import finitemodel
-    subset = [int(complex(s.value).real) for s in p.sites]
-    alg = finite_algebra(p.backend, p.params, subset)
-    return finitemodel.np_norm_closed_form(alg, subset, p.targets)
+    alg = finite_algebra(p.backend, p.params, values)
+    return finitemodel.np_norm_closed_form(alg, values, p.targets)

@@ -36,10 +36,14 @@ import numpy as np
 
 from . import _lp
 from .core import (
+    FINITE_NORM_KINDS,
     DomainViolation,
     InfeasibleCoset,
     NormResult,
     SolverStall,
+    check_sites,
+    check_targets,
+    check_tolerance,
     make_result,
     sup_lower_bound,
 )
@@ -55,7 +59,9 @@ class FiniteAlgebra:
     unit weights.  A basis, when given, must be closed under pointwise
     products within 1e-12 (least-squares residual) — an unclosed "basis"
     would silently test nothing.  Subalgebras of C^n are automatically
-    semisimple (no nilpotents under pointwise product).
+    semisimple (no nilpotents under pointwise product).  ``backend`` names
+    the finite backend of the norm kind, whose site rule
+    (``core.check_sites``) the solvers apply to coordinate indices.
     """
 
     def __init__(self, dimension: int, norm_kind: str, weights=None,
@@ -66,6 +72,7 @@ class FiniteAlgebra:
         if self.dimension < 1:
             raise DomainViolation("dimension must be >= 1")
         self.norm_kind = norm_kind
+        self.backend = next(b for b, k in FINITE_NORM_KINDS.items() if k == norm_kind)
 
         if weights is None:
             w = np.ones(self.dimension)
@@ -148,17 +155,6 @@ class NPInftyVerdict:
     checked: int
 
 
-def _subset_indices(subset, dimension: int) -> list[int]:
-    idx = [int(i) for i in subset]
-    if len(set(idx)) != len(idx):
-        raise DomainViolation("subset indices must be distinct")
-    if any(i < 1 for i in idx):
-        raise DomainViolation("subset indices are 1-based")
-    if any(i > dimension for i in idx):
-        raise DomainViolation("subset index outside 1..n")
-    return idx
-
-
 def _blocks(alg: FiniteAlgebra) -> np.ndarray:
     """Block label of every coordinate, -1 for one outside every block.
 
@@ -201,14 +197,13 @@ def np_norm_closed_form(alg: FiniteAlgebra, subset, targets) -> NormResult:
     target of block b, the value is max_b W_b|a_b| (weighted_sup),
     sum_b S_b|a_b| (weighted_l1) or (sum_b |b| |a_b|^p)^{1/p} (lp), summed
     over the constrained blocks in subset order.  Zero-width bracket.  A
-    plain subspace that is not an algebra raises DomainViolation.
+    plain subspace that is not an algebra raises DomainViolation.  The
+    subset and targets pass ``core.check_sites`` and ``core.check_targets``.
     """
-    idx = _subset_indices(subset, alg.dimension)
-    a = np.asarray(targets, dtype=complex).ravel()
-    if len(a) != len(idx):
-        raise DomainViolation("subset and targets must have equal length")
+    idx = check_sites(alg.backend, subset, alg.dimension)
+    a = check_targets(targets, len(idx))
     labels = _blocks(alg)
-    sel = labels[np.asarray(idx, dtype=int) - 1]
+    sel = labels[idx - 1]
     first: dict[int, int] = {}  # block -> position of its first site
     for k, b in enumerate(sel.tolist()):
         if b < 0:
@@ -235,14 +230,15 @@ def np_norm_closed_form(alg: FiniteAlgebra, subset, targets) -> NormResult:
                        {"method": "closed_form", "free_coordinates": "zero"})
 
 
-def _coset_parametrization(alg: FiniteAlgebra, idx: list[int], a: np.ndarray):
+def _coset_parametrization(alg: FiniteAlgebra, idx: np.ndarray, a: np.ndarray):
     """x = x0 + N u over the span, with x_i = a_i enforced; raises
     InfeasibleCoset when the span cannot interpolate."""
     n = alg.dimension
     B = np.eye(n, dtype=complex) if alg.basis is None else alg.basis
-    sel = np.asarray(idx) - 1
-    E = B.T[sel, :]  # (s, m): coefficients -> constrained coordinates
+    E = B.T[idx - 1, :]  # (s, m): coefficients -> constrained coordinates
     coef0, *_ = np.linalg.lstsq(E, a, rcond=None)
+    # one refinement step: a mixed basis leaves a residual of cond(E) * eps
+    coef0 += np.linalg.lstsq(E, a - E @ coef0, rcond=None)[0]
     resid = float(np.linalg.norm(E @ coef0 - a))
     if resid > 1e-9 * max(1.0, float(np.max(np.abs(a))) if len(a) else 1.0):
         raise InfeasibleCoset(
@@ -266,13 +262,15 @@ def np_norm_generic(alg: FiniteAlgebra, subset, targets,
     feasibility tolerance rather than certified.  Smooth convex descent plus
     a Hoelder dual bound for lp with p > 1.  The upper end is the evaluated
     norm of the returned interpolant.  When the bracket stays wider than
-    ``tolerance * max(1, upper)``, SolverStall carries it in ``partial``.  This is the reference oracle for np_norm_closed_form, and
-    the solver for plain subspaces, which have no closed form.
+    ``tolerance * max(1, upper)``, SolverStall carries it in ``partial``.
+    This is the reference oracle for np_norm_closed_form, and the solver for
+    plain subspaces, which have no closed form.  Inputs pass
+    ``core.check_sites``, ``core.check_targets`` and
+    ``core.check_tolerance``.
     """
-    idx = _subset_indices(subset, alg.dimension)
-    a = np.asarray(targets, dtype=complex).ravel()
-    if len(a) != len(idx):
-        raise DomainViolation("subset and targets must have equal length")
+    check_tolerance(tolerance)
+    idx = check_sites(alg.backend, subset, alg.dimension)
+    a = check_targets(targets, len(idx))
     floor = sup_lower_bound(a)
     x0, N = _coset_parametrization(alg, idx, a)
     if not np.any(np.abs(a) > 0) and alg.basis is None:

@@ -37,11 +37,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import DomainViolation
+from .core import DomainViolation, check_sites
 from .finitemodel import (
     FiniteAlgebra,
     _blocks,
-    _subset_indices,
     np_infty_test,
     np_norm_closed_form,
 )
@@ -84,14 +83,10 @@ def gleason_distance_hardy(lam1: complex, lam2: complex,
     u = 2^-53; d is evaluated at both ends of rho widened by that bound,
     then widened by 8u for its own five roundings and capped at 2.  The
     interval is as narrow as this rounding allows, so ``tolerance`` has no
-    effect; it stays in the signature for callers that pass it.
+    effect; it stays in the signature for callers that pass it.  The two
+    sites pass ``core.check_sites`` for ``hardy``.
     """
-    lam1 = complex(lam1)
-    lam2 = complex(lam2)
-    if abs(lam1) >= 1 or abs(lam2) >= 1:
-        raise DomainViolation("sites must lie strictly inside the disc")
-    if lam1 == lam2:
-        raise DomainViolation("sites must be distinct")
+    lam1, lam2 = check_sites("hardy", [lam1, lam2]).tolist()
 
     den = abs(1.0 - lam1.conjugate() * lam2)
     rho = abs(lam1 - lam2) / den
@@ -108,12 +103,10 @@ def gleason_distance_finite(alg: FiniteAlgebra, i: int, j: int) -> tuple[float, 
     point and reported with zero width: 0 inside one block, and for blocks
     b != c 1/W_b + 1/W_c (weighted sup), max(1/S_b, 1/S_c) (weighted l1) or
     (|b|^(1-q) + |c|^(1-q))^(1/q) (lp).  A coordinate outside every block is
-    the zero functional, not a character, and is rejected.
+    the zero functional, not a character, and is rejected.  The two
+    coordinates pass ``core.check_sites``.
     """
-    if i == j:
-        raise DomainViolation("need two distinct coordinates")
-    if not (1 <= i <= alg.dimension and 1 <= j <= alg.dimension):
-        raise DomainViolation("coordinate index outside 1..n")
+    i, j = check_sites(alg.backend, [i, j], alg.dimension).tolist()
     labels = _blocks(alg)
     b, c = labels[i - 1], labels[j - 1]
     if b < 0 or c < 0:
@@ -149,12 +142,13 @@ def certify_trivial_parts(backend, sites, tolerance: float = 1e-9) -> dict:
     certification is ever claimed from a norm bounded away from 1.  On a
     finite model the norms are the block closed forms; two sites in one
     block are one character, reported with ``same_character`` set, no
-    norm, and left out of ``all_pairs_certified_trivial``.
+    norm, and left out of ``all_pairs_certified_trivial``.  The sites pass
+    ``core.check_sites``.
     """
     if isinstance(backend, FiniteAlgebra):
+        sites = check_sites(backend.backend, sites, backend.dimension).tolist()
         claimed = np_infty_test(backend, sample_budget=64).is_np_infty
-        sites = _subset_indices(sites, backend.dimension)
-        labels = dict(zip(sites, _blocks(backend)[np.asarray(sites, dtype=int) - 1]))
+        labels = dict(zip(sites, _blocks(backend)[np.asarray(sites) - 1]))
 
         def sign_norm(s, t):
             if labels[s] == labels[t] >= 0:
@@ -162,7 +156,7 @@ def certify_trivial_parts(backend, sites, tolerance: float = 1e-9) -> dict:
             return np_norm_closed_form(backend, [s, t], [1.0, -1.0]).upper
     elif backend == "hardy":
         claimed = False  # distinct disc points always share the interior part
-        sites = [complex(s) for s in sites]
+        sites = check_sites("hardy", sites).tolist()
 
         def sign_norm(s, t):
             return np_norm_hardy([s, t], [1.0, -1.0], max(tolerance, 1e-9)).upper
@@ -200,9 +194,19 @@ def part_partition(backend, sites, part_slack: float = 1e-6) -> GleasonReport:
     (safe direction for the strict inequality); distance 2 needs the lower
     bound at or above it.  Straddling intervals are undecided and never
     merge groups; the partition is the transitive closure of the decided
-    same-part edges.
+    same-part edges.  The sites pass ``core.check_sites``; the report
+    holds the checked values.
     """
-    sites = tuple(sites)
+    if isinstance(backend, FiniteAlgebra):
+        sites = tuple(check_sites(backend.backend, sites, backend.dimension).tolist())
+
+        def distance(s, t):
+            return gleason_distance_finite(backend, s, t)
+    elif backend == "hardy":
+        sites = tuple(check_sites("hardy", sites).tolist())
+        distance = gleason_distance_hardy
+    else:
+        raise DomainViolation(f"unsupported backend {backend!r}")
     n = len(sites)
     if n < 2:
         raise DomainViolation("need at least two sites")
@@ -210,12 +214,7 @@ def part_partition(backend, sites, part_slack: float = 1e-6) -> GleasonReport:
     dist = [[(0.0, 0.0) for _ in range(n)] for _ in range(n)]
     for u in range(n):
         for v in range(u + 1, n):
-            if isinstance(backend, FiniteAlgebra):
-                iv = gleason_distance_finite(backend, int(sites[u]), int(sites[v]))
-            elif backend == "hardy":
-                iv = gleason_distance_hardy(sites[u], sites[v])
-            else:
-                raise DomainViolation(f"unsupported backend {backend!r}")
+            iv = distance(sites[u], sites[v])
             dist[u][v] = iv
             dist[v][u] = iv
 

@@ -19,11 +19,13 @@ import numpy as np
 
 from .core import (
     BracketFailure,
-    DomainViolation,
-    DuplicateSite,
     EigensolveFailure,
     NonpositiveLevel,
     NormResult,
+    SolverStall,
+    check_sites,
+    check_targets,
+    check_tolerance,
     make_result,
 )
 
@@ -45,27 +47,17 @@ class FeasibilityVerdict:
     psd_slack: float
 
 
-def _as_disc_points(lambdas) -> np.ndarray:
-    lam = np.asarray(lambdas, dtype=complex).ravel()
-    if np.any(np.abs(lam) >= 1.0):
-        bad = int(np.argmax(np.abs(lam) >= 1.0))
-        raise DomainViolation(
-            f"site {bad}: |lambda| = {abs(lam[bad])!r} not inside the open disc")
-    for i in range(len(lam)):
-        for j in range(i + 1, len(lam)):
-            if lam[i] == lam[j]:
-                raise DuplicateSite(f"sites {i} and {j} coincide ({lam[i]!r})")
-    return lam
-
-
 def build_pick_matrix(lambdas, zs, t: float) -> PickMatrix:
-    """Assemble M(t); Hermitian exactly, by mirroring one triangle."""
+    """Assemble M(t); Hermitian exactly, by mirroring one triangle.
+
+    The sites and targets pass ``core.check_sites`` and
+    ``core.check_targets``: distinct points of the open disc, one finite
+    target each.
+    """
     if not (t > 0):
         raise NonpositiveLevel(f"level must be positive, got {t!r}")
-    lam = _as_disc_points(lambdas)
-    z = np.asarray(zs, dtype=complex).ravel()
-    if len(z) != len(lam):
-        raise DomainViolation("lambdas and zs must have equal length")
+    lam = check_sites("hardy", lambdas)
+    z = check_targets(zs, len(lam))
 
     num = 1.0 - np.outer(z, z.conj()) / (t * t)
     den = 1.0 - np.outer(lam, lam.conj())
@@ -102,16 +94,17 @@ def np_norm_hardy(lambdas, zs, tolerance: float = 1e-9) -> NormResult:
     The lower end of the starting bracket is max|z_i| (any smaller t makes a
     diagonal entry of M(t) negative); the upper end is found by doubling.
     On return the upper end is feasible and the lower end is the floor or a
-    tested-infeasible level.
+    tested-infeasible level.  Bisection stops when the midpoint no longer
+    lies strictly between the ends (one ulp of a large norm can exceed the
+    tolerance); a bracket still wider than ``tolerance`` then raises
+    SolverStall carrying it.  Inputs pass ``core.check_sites``,
+    ``core.check_targets`` and ``core.check_tolerance``.
     """
-    if not (tolerance > 0):
-        raise DomainViolation(f"tolerance must be positive, got {tolerance!r}")
-    lam = _as_disc_points(lambdas)
-    z = np.asarray(zs, dtype=complex).ravel()
-    if len(z) != len(lam):
-        raise DomainViolation("lambdas and zs must have equal length")
+    check_tolerance(tolerance)
+    lam = check_sites("hardy", lambdas)
+    z = check_targets(zs, len(lam))
 
-    zmax = float(np.max(np.abs(z))) if len(z) else 0.0
+    zmax = float(np.max(np.abs(z)))
     if zmax == 0.0:
         return make_result(0.0, 0.0, 0.0,
                            {"method": "pick_bisection", "note": "zero targets"})
@@ -133,6 +126,8 @@ def np_norm_hardy(lambdas, zs, tolerance: float = 1e-9) -> NormResult:
 
     while hi - lo > tolerance:
         mid = 0.5 * (lo + hi)
+        if not lo < mid < hi:
+            break
         iterations += 1
         if is_feasible(lam, z, mid).feasible:
             hi = mid
@@ -144,4 +139,9 @@ def np_norm_hardy(lambdas, zs, tolerance: float = 1e-9) -> NormResult:
         "feasible_level": hi,
         "min_eigenvalue_at_upper": is_feasible(lam, z, hi).min_eigenvalue,
     }
-    return make_result(lo, hi, zmax, cert, iterations)
+    result = make_result(lo, hi, zmax, cert, iterations)
+    if hi - lo > tolerance:
+        raise SolverStall(
+            f"bisection stopped at [{lo!r}, {hi!r}], adjacent doubles wider "
+            f"than the tolerance {tolerance:.3e}", result)
+    return result

@@ -19,9 +19,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import DomainViolation, GridTooCoarse
+from .core import DomainViolation, GridTooCoarse, SolverStall, check_sites
 from .seqalg import np_norm_l1_torus
-from .core import SolverStall
 
 
 @dataclass(frozen=True)
@@ -163,10 +162,9 @@ def smoothing_chain(mu: TorusMeasure, ks, epsilon: float = 1e-3,
     most ||V_l||_1 * ||mu||, and it interpolates — so ||f_l||_1 must sit at
     or above the certified lower bound for the interpolation norm of the
     pinned coefficients.  The report records every slack in that chain.
+    The frequencies pass ``core.check_sites`` for ``l1_torus``.
     """
-    ks = np.asarray(ks, dtype=int).ravel()
-    if len(set(ks.tolist())) != len(ks):
-        raise DomainViolation("frequencies must be pairwise distinct")
+    ks = check_sites("l1_torus", ks)
     kmax = int(np.max(np.abs(ks))) if len(ks) else 0
     a = mu.fourier(ks)
     tv = mu.total_variation()

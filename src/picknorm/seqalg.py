@@ -28,14 +28,15 @@ import numpy as np
 
 from . import _lp
 from .core import (
-    DomainViolation,
-    DuplicateSite,
     CertificateRejected,
     GridTooCoarse,
     NormResult,
     SolverError,
     SolverStall,
     TailBoundFailure,
+    check_sites,
+    check_targets,
+    check_tolerance,
     make_result,
     sup_lower_bound,
 )
@@ -90,13 +91,6 @@ def plan_for_analytic(lambdas, tail_margin: float) -> TruncationPlan:
     return TruncationPlan(degree=K, grid_size=16 * (K + 1), tail_margin=tail_margin)
 
 
-def _validate_targets(sites, targets):
-    a = np.asarray(targets, dtype=complex).ravel()
-    if len(a) != len(sites):
-        raise DomainViolation("sites and targets must have equal length")
-    return a
-
-
 # --------------------------------------------------------------------------
 # analytic coefficient algebra (one-sided)
 # --------------------------------------------------------------------------
@@ -114,7 +108,7 @@ def _analytic_certified_sup(lam: np.ndarray, b: np.ndarray, window: int):
 def analytic_wiener_certificate(lambdas, targets, b, window: int = 256) -> DualCertificate:
     """Certify a dual vector for the one-sided coefficient algebra."""
     lam = np.asarray(lambdas, dtype=complex).ravel()
-    a = _validate_targets(lam, targets)
+    a = check_targets(targets, len(lam))
     b = np.asarray(b, dtype=complex).ravel()
     csup, detail = _analytic_certified_sup(lam, b, window)
     obj = float(np.real(np.sum(b * a)))
@@ -133,18 +127,12 @@ def np_norm_analytic_wiener(lambdas, targets, tolerance: float = 1e-9) -> NormRe
     by the dual polynomial, falling back to the full truncation range).
     Dual: LP over b with |sum_i b_i lam_i^k| <= 1 enforced on a window and a
     geometric tail constraint; the certified supremum re-derives the bound
-    independently of the LP.
+    independently of the LP.  Inputs pass ``core.check_sites``,
+    ``core.check_targets`` and ``core.check_tolerance``.
     """
-    if not (tolerance > 0):
-        raise DomainViolation(f"tolerance must be positive, got {tolerance!r}")
-    lam = np.asarray(lambdas, dtype=complex).ravel()
-    if np.any(np.abs(lam) > 1.0):
-        raise DomainViolation("analytic coefficient algebra needs |lambda| <= 1")
-    for i in range(len(lam)):
-        for j in range(i + 1, len(lam)):
-            if lam[i] == lam[j]:
-                raise DuplicateSite(f"sites {i} and {j} coincide")
-    a = _validate_targets(lam, targets)
+    check_tolerance(tolerance)
+    lam = check_sites("analytic_wiener", lambdas)
+    a = check_targets(targets, len(lam))
     n = len(lam)
     floor = sup_lower_bound(a)
     if floor == 0.0:
@@ -255,29 +243,23 @@ def wiener_certificate(thetas, targets, b, period: int | None = None,
     algebra only and is never used as a certified lower bound.
     """
     th = np.asarray(thetas, dtype=float).ravel()
-    a = _validate_targets(th, targets)
+    a = check_targets(targets, len(th))
     b = np.asarray(b, dtype=complex).ravel()
     if period is None:
         period = common_period(th)
-    obj = float(np.real(np.sum(b * a)))
     if period is not None:
         ks = np.arange(period)
-        g = np.abs(np.exp(1j * np.outer(ks, th)) @ b)
-        csup = float(np.max(g))
-        meta = {"backend": "wiener", "sites": [float(x) for x in th],
-                "targets": [complex(x) for x in a],
-                "period": int(period), "window": "full_period",
-                "argmax_k": int(np.argmax(g))}
-        bound = obj / csup if csup > 0 else 0.0
-        return DualCertificate(tuple(b), csup, bound, meta)
-    ks = np.arange(-window, window + 1)
+        span = {"period": int(period), "window": "full_period"}
+    else:
+        ks = np.arange(-window, window + 1)
+        span = {"period": None, "window": int(window), "window_limited": True}
     g = np.abs(np.exp(1j * np.outer(ks, th)) @ b)
     csup = float(np.max(g))
-    meta = {"backend": "wiener", "sites": [float(x) for x in th],
-            "targets": [complex(x) for x in a],
-            "period": None, "window": int(window), "window_limited": True,
-            "argmax_k": int(ks[np.argmax(g)])}
+    obj = float(np.real(np.sum(b * a)))
     bound = obj / csup if csup > 0 else 0.0
+    meta = {"backend": "wiener", "sites": [float(x) for x in th],
+            "targets": [complex(x) for x in a], **span,
+            "argmax_k": int(ks[np.argmax(g)])}
     return DualCertificate(tuple(b), csup, bound, meta)
 
 
@@ -289,17 +271,12 @@ def np_norm_wiener(thetas, targets, tolerance: float = 1e-9) -> NormResult:
     sides finite and fully certified.  Incommensurate angles keep a
     truncated primal; the certified lower bound falls back to the sup floor
     and the (window-limited) dual value is reported as a diagnostic only.
+    Inputs pass ``core.check_sites``, ``core.check_targets`` and
+    ``core.check_tolerance``.
     """
-    if not (tolerance > 0):
-        raise DomainViolation(f"tolerance must be positive, got {tolerance!r}")
-    th = np.asarray(thetas, dtype=float).ravel()
-    for i in range(len(th)):
-        for j in range(i + 1, len(th)):
-            if th[i] == th[j]:
-                raise DuplicateSite(f"sites {i} and {j} coincide")
-    if np.any((th < 0) | (th >= 2 * np.pi)):
-        raise DomainViolation("angles must lie in [0, 2*pi)")
-    a = _validate_targets(th, targets)
+    check_tolerance(tolerance)
+    th = check_sites("wiener", thetas)
+    a = check_targets(targets, len(th))
     n = len(th)
     floor = sup_lower_bound(a)
     if floor == 0.0:
@@ -467,7 +444,7 @@ def l1_torus_certificate(ks, targets, b, grid_size: int | None = None,
     modulus and is certified exactly.
     """
     ks = np.asarray(ks, dtype=int).ravel()
-    a = _validate_targets(ks, targets)
+    a = check_targets(targets, len(ks))
     b = np.asarray(b, dtype=complex).ravel()
     obj = float(np.real(np.sum(np.conj(b) * a)))
     nz = np.nonzero(np.abs(b) > 0)[0]
@@ -565,15 +542,12 @@ def np_norm_l1_torus(ks, targets, tolerance: float = 1e-9) -> NormResult:
     Upper bound: an interpolating atomic measure supported near the
     maximizers of the optimal |q| (the measure minimum equals the L1
     infimum for this finite-codimension quotient, and it is attained).
+    Inputs pass ``core.check_sites`` (integer frequencies, never
+    truncated), ``core.check_targets`` and ``core.check_tolerance``.
     """
-    if not (tolerance > 0):
-        raise DomainViolation(f"tolerance must be positive, got {tolerance!r}")
-    ks = np.asarray(ks, dtype=int).ravel()
-    for i in range(len(ks)):
-        for j in range(i + 1, len(ks)):
-            if ks[i] == ks[j]:
-                raise DuplicateSite(f"sites {i} and {j} coincide")
-    a = _validate_targets(ks, targets)
+    check_tolerance(tolerance)
+    ks = check_sites("l1_torus", ks)
+    a = check_targets(targets, len(ks))
     n = len(ks)
     floor = sup_lower_bound(a)
     if floor == 0.0:
@@ -687,66 +661,42 @@ def np_norm_l1_torus(ks, targets, tolerance: float = 1e-9) -> NormResult:
 # certificate re-verification
 # --------------------------------------------------------------------------
 
-def dual_certificate_check(cert: DualCertificate, problem=None) -> float:
+def dual_certificate_check(cert: DualCertificate) -> float:
     """Re-verify a dual certificate on a finer grid or longer window.
 
-    Recomputes the certified supremum independently (nested finer grid for
-    the torus backend, doubled frequency window plus tail for the
-    coefficient algebras, the exact period for commensurate angles) and the
-    implied bound.  Accepts iff the recheck does not lower the bound by more
-    than 1e-12; otherwise raises CertificateRejected naming the violating
-    frequency or angle.
+    Re-runs the backend's certificate function on the same sites, targets
+    and dual vector at twice the grid (torus: nested finer grid) or twice
+    the frequency window plus tail (coefficient algebras), or over the exact
+    period for commensurate angles, and returns the implied bound.  Accepts
+    iff the recheck does not lower the bound by more than 1e-12; otherwise
+    raises CertificateRejected naming the violating frequency or angle.
     """
     meta = cert.meta
     backend = meta.get("backend")
-    b = np.asarray(cert.b, dtype=complex)
-    a = np.asarray(meta["targets"], dtype=complex)
-
+    sites, a, b = meta["sites"], meta["targets"], cert.b
     if backend == "l1_torus":
-        ks = np.asarray(meta["sites"], dtype=int)
-        obj = float(np.real(np.sum(np.conj(b) * a)))
-        nz = np.nonzero(np.abs(b) > 0)[0]
-        if len(nz) <= 1:
-            csup = float(np.abs(b[nz[0]])) if len(nz) else 0.0
-            detail = {"exact": True}
-        else:
-            m = 2 * int(meta.get("grid_size") or 4096)
-            m = min(max(m, 8192), _MAX_CERT_GRID * 2)
-            csup, detail = _bernstein_sup(ks, b, m)
-        bound = obj / csup if csup > 0 else 0.0
-        if bound < cert.bound - 1e-12:
-            raise CertificateRejected(
-                f"recheck lowered the bound from {cert.bound!r} to {bound!r}; "
-                f"violating angle {detail.get('argmax_angle')!r}")
-        return bound
-
-    if backend == "analytic_wiener":
-        lam = np.asarray(meta["sites"], dtype=complex)
-        obj = float(np.real(np.sum(b * a)))
-        window = 2 * int(meta.get("window", 128))
-        csup, detail = _analytic_certified_sup(lam, b, window)
-        bound = obj / csup if csup > 0 else 0.0
-        if bound < cert.bound - 1e-12:
-            raise CertificateRejected(
-                f"recheck lowered the bound from {cert.bound!r} to {bound!r}; "
-                f"violating frequency {detail['argmax_k']}")
-        return bound
-
-    if backend == "wiener":
-        th = np.asarray(meta["sites"], dtype=float)
-        obj = float(np.real(np.sum(b * a)))
+        m = 2 * int(meta.get("grid_size") or 4096)
+        re = l1_torus_certificate(sites, a, b,
+                                  grid_size=min(max(m, 8192), _MAX_CERT_GRID * 2))
+        where = f"angle {re.meta.get('argmax_angle')!r}"
+    elif backend == "analytic_wiener":
+        re = analytic_wiener_certificate(sites, a, b,
+                                         window=2 * int(meta.get("window", 128)))
+        where = f"frequency {re.meta['argmax_k']}"
+    elif backend == "wiener":
         if meta.get("period"):
-            re = wiener_certificate(th, a, b, period=int(meta["period"]))
+            re = wiener_certificate(sites, a, b, period=int(meta["period"]))
         else:
-            window = 2 * int(meta.get("window") or 512)
-            re = wiener_certificate(th, a, b, period=None, window=window)
-        if re.bound < cert.bound - 1e-12:
-            raise CertificateRejected(
-                f"recheck lowered the bound from {cert.bound!r} to "
-                f"{re.bound!r}; violating frequency {re.meta['argmax_k']}")
-        return re.bound
-
-    raise CertificateRejected(f"unknown certificate backend {backend!r}")
+            re = wiener_certificate(sites, a, b, period=None,
+                                    window=2 * int(meta.get("window") or 512))
+        where = f"frequency {re.meta['argmax_k']}"
+    else:
+        raise CertificateRejected(f"unknown certificate backend {backend!r}")
+    if re.bound < cert.bound - 1e-12:
+        raise CertificateRejected(
+            f"recheck lowered the bound from {cert.bound!r} to {re.bound!r}; "
+            f"violating {where}")
+    return re.bound
 
 
 # --------------------------------------------------------------------------

@@ -1,5 +1,8 @@
 """Shared test fixtures."""
 
+import contextlib
+import signal
+
 import numpy as np
 import pytest
 
@@ -28,3 +31,25 @@ def _random_block_algebra(rng, kind):
 def random_block_algebra():
     """``(rng, kind) -> (alg, labels)``: a random block subalgebra of C^6."""
     return _random_block_algebra
+
+
+@contextlib.contextmanager
+def _deadline(seconds: float):
+    def expire(signum, frame):
+        raise TimeoutError(f"still running after {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+@pytest.fixture
+def deadline():
+    """``deadline(seconds)``: a context that raises TimeoutError in the
+    Python code it runs once ``seconds`` have passed, so a call that never
+    returns fails its test instead of hanging the run."""
+    return _deadline

@@ -77,9 +77,7 @@ def test_closed_form_on_subalgebra():
 
 def test_closed_form_on_block_subalgebras_matches_generic(random_block_algebra):
     # sites take one value per block and 0 outside every block; the closed
-    # form must lie inside the generic bracket up to rounding.  The generic
-    # interpolant misses the targets by up to cond(basis) * eps, which moves
-    # its bracket by at most sum(w) times that residual.
+    # form must lie inside the generic bracket up to rounding
     rng = np.random.default_rng(14)
     for kind in ("weighted_sup", "weighted_l1", "lp"):
         for _ in range(100):
@@ -94,9 +92,7 @@ def test_closed_form_on_block_subalgebras_matches_generic(random_block_algebra):
                 g = np_norm_generic(alg, subset, a, tolerance=1e-10)
             except SolverStall as exc:
                 g = exc.partial
-            x = np.array([complex(*v) for v in g.certificate["minimizer"]])
-            residual = np.max(np.abs(x[np.asarray(subset) - 1] - a))
-            slack = 1e-14 * max(1.0, cf.upper) + np.sum(alg.weights) * residual
+            slack = 1e-14 * max(1.0, cf.upper)
             assert g.lower - slack <= cf.upper <= g.upper + slack
 
 

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -5,6 +7,7 @@ from picknorm import (
     DomainViolation,
     DuplicateSite,
     NonpositiveLevel,
+    SolverStall,
     build_pick_matrix,
     is_feasible,
     np_norm_hardy,
@@ -159,3 +162,18 @@ def test_floor_from_remark():
         z = rng.standard_normal(n) + 1j * rng.standard_normal(n)
         r = np_norm_hardy(lam, z, 1e-7)
         assert r.lower >= float(np.max(np.abs(z))) - 1e-7
+
+
+@pytest.mark.parametrize("scale", [1e7, 1e8])
+def test_bisection_stops_at_adjacent_doubles(scale, deadline):
+    # the norm of (1, -1) at (0, 1/2) is 2 + sqrt(3); scaled by 1e7 or 1e8
+    # one ulp of it exceeds the 1e-9 tolerance, and the midpoint stops moving
+    with deadline(1.0), pytest.raises(SolverStall) as info:
+        np_norm_hardy([0, 0.5], [scale, -scale], 1e-9)
+    partial = info.value.partial
+    assert partial.upper - partial.lower > 1e-9
+    assert math.nextafter(partial.lower, math.inf) == partial.upper
+    # containment holds up to is_feasible's 1e-12 eigenvalue slack, which
+    # puts both ends 7e-12 relative under the norm (ROADMAP item 1)
+    norm = (2 + math.sqrt(3)) * scale
+    assert partial.lower <= norm <= partial.upper * (1 + 1e-11)
