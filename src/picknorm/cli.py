@@ -127,7 +127,9 @@ def _parse_params(doc: dict) -> dict | None:
 
 
 def _emit_json(doc: dict) -> None:
-    sys.stdout.write(json.dumps(doc, sort_keys=True, indent=2))
+    # complex numbers left in a payload (the disc sites of an analytic dual
+    # certificate) are written as [re, im], like the input format
+    sys.stdout.write(json.dumps(doc, sort_keys=True, indent=2, default=_complex_out))
     sys.stdout.write("\n")
 
 

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import cmath
 import math
+import numbers
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -105,10 +106,6 @@ class BracketFailure(SolverError):
     pass
 
 
-class TailBoundFailure(SolverError):
-    pass
-
-
 class SolverStall(SolverError):
     """Bracket gap not closing under the refinement schedule.
 
@@ -119,6 +116,10 @@ class SolverStall(SolverError):
     def __init__(self, message: str, partial: "NormResult | None" = None):
         super().__init__(message)
         self.partial = partial
+
+
+class TailBoundFailure(SolverStall):
+    """A boundary site keeps the dual tail from certifying above the floor."""
 
 
 class CertificateRejected(SolverError):
@@ -192,13 +193,18 @@ class NormResult:
 
 
 def make_result(lower: float, upper: float, floor: float, certificate: dict,
-                iterations: int = 0) -> NormResult:
-    """Assemble a NormResult, clamping with the universal sup floor.
+                iterations: int, tolerance: float, note: str | None = None) -> NormResult:
+    """Assemble a NormResult and decide whether its bracket closed.
 
     ``floor`` is max_i |a_i|; it is a theorem-level lower bound on every
     backend, so lower is raised to it when the computed certificate is
     weaker.  A tiny clamp absorbs roundoff when upper lands just under the
-    floor; a genuine crossing indicates an internal bug and is rejected.
+    floor; a genuine crossing indicates an internal bug and raises
+    SolverError.  A bracket wider than ``tolerance`` raises SolverStall
+    carrying the result in ``partial``, with ``note`` (why the bracket did
+    not close) added to its certificate; the message names the method, the
+    bracket, the tolerance and the note.  A bracket that closed keeps its
+    certificate as given.
     """
     lo = max(float(lower), float(floor), 0.0)
     up = float(upper)
@@ -210,8 +216,15 @@ def make_result(lower: float, upper: float, floor: float, certificate: dict,
     if lo > lower:
         certificate = dict(certificate)
         certificate.setdefault("floor_active", True)
-    return NormResult(lower=lo, upper=up, certificate=certificate,
-                      iterations=iterations)
+    if up - lo <= tolerance:
+        return NormResult(lo, up, certificate, iterations)
+    why = ""
+    if note is not None:
+        certificate = {**certificate, "note": note}
+        why = f": {note}"
+    raise SolverStall(
+        f"{certificate.get('method')}: bracket [{lo!r}, {up!r}] is wider than "
+        f"the tolerance {tolerance:.3e}{why}", NormResult(lo, up, certificate, iterations))
 
 
 # --------------------------------------------------------------------------
@@ -326,7 +339,11 @@ def validate_problem(p: InterpolationProblem) -> None:
 
 def _finite_dimension(params: dict) -> int | None:
     if "dimension" in params:
-        return int(params["dimension"])
+        d = params["dimension"]
+        if not (isinstance(d, numbers.Real) and not isinstance(d, bool)
+                and _integer(complex(d)) and d >= 1):
+            raise DomainViolation(f"dimension must be an integer >= 1, got {d!r}")
+        return int(d)
     if "weights" in params and params["weights"] is not None:
         return len(params["weights"])
     return None

@@ -33,6 +33,7 @@ targets (1, -1) can be interpolated with norm arbitrarily close to 1, then
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -195,8 +196,12 @@ def part_partition(backend, sites, part_slack: float = 1e-6) -> GleasonReport:
     bound at or above it.  Straddling intervals are undecided and never
     merge groups; the partition is the transitive closure of the decided
     same-part edges.  The sites pass ``core.check_sites``; the report
-    holds the checked values.
+    holds the checked values.  ``part_slack`` must be a finite real in
+    [0, 2), else DomainViolation.
     """
+    if not (isinstance(part_slack, numbers.Real) and not isinstance(part_slack, bool)
+            and 0.0 <= part_slack < 2.0):
+        raise DomainViolation(f"part_slack must be a real in [0, 2), got {part_slack!r}")
     if isinstance(backend, FiniteAlgebra):
         sites = tuple(check_sites(backend.backend, sites, backend.dimension).tolist())
 

@@ -22,7 +22,6 @@ from .core import (
     EigensolveFailure,
     NonpositiveLevel,
     NormResult,
-    SolverStall,
     check_sites,
     check_targets,
     check_tolerance,
@@ -96,8 +95,9 @@ def np_norm_hardy(lambdas, zs, tolerance: float = 1e-9) -> NormResult:
     On return the upper end is feasible and the lower end is the floor or a
     tested-infeasible level.  Bisection stops when the midpoint no longer
     lies strictly between the ends (one ulp of a large norm can exceed the
-    tolerance); a bracket still wider than ``tolerance`` then raises
-    SolverStall carrying it.  Inputs pass ``core.check_sites``,
+    tolerance); ``core.make_result`` then raises SolverStall carrying a
+    bracket still wider than ``tolerance``, its certificate noting the
+    adjacent doubles.  Inputs pass ``core.check_sites``,
     ``core.check_targets`` and ``core.check_tolerance``.
     """
     check_tolerance(tolerance)
@@ -106,8 +106,8 @@ def np_norm_hardy(lambdas, zs, tolerance: float = 1e-9) -> NormResult:
 
     zmax = float(np.max(np.abs(z)))
     if zmax == 0.0:
-        return make_result(0.0, 0.0, 0.0,
-                           {"method": "pick_bisection", "note": "zero targets"})
+        return make_result(0.0, 0.0, 0.0, {"method": "pick_bisection",
+                                           "note": "zero targets"}, 0, tolerance)
 
     lo = zmax
     hi = max(zmax, tolerance)
@@ -139,9 +139,5 @@ def np_norm_hardy(lambdas, zs, tolerance: float = 1e-9) -> NormResult:
         "feasible_level": hi,
         "min_eigenvalue_at_upper": is_feasible(lam, z, hi).min_eigenvalue,
     }
-    result = make_result(lo, hi, zmax, cert, iterations)
-    if hi - lo > tolerance:
-        raise SolverStall(
-            f"bisection stopped at [{lo!r}, {hi!r}], adjacent doubles wider "
-            f"than the tolerance {tolerance:.3e}", result)
-    return result
+    return make_result(lo, hi, zmax, cert, iterations, tolerance,
+                       note="bisection reached adjacent doubles")

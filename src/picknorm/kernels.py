@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import DomainViolation, GridTooCoarse, SolverStall, check_sites
+from .core import DomainViolation, GridTooCoarse, SolverStall, _integer, check_sites
 from .seqalg import np_norm_l1_torus
 
 
@@ -82,8 +82,15 @@ class TorusMeasure:
 
     def fourier(self, ks) -> np.ndarray:
         """hat mu(k) = integral of e^{-ik theta} d mu (atoms exact, density
-        by the trapezoid rule on its own grid)."""
-        ks = np.asarray(ks, dtype=int).ravel()
+        by the trapezoid rule on its own grid).  Every frequency must be an
+        integer by ``core._integer`` (1.5 is rejected, never truncated);
+        repeats are allowed."""
+        k = np.asarray(ks, dtype=complex).ravel()
+        for i, z in enumerate(k.tolist()):
+            if not _integer(z):
+                raise DomainViolation(
+                    f"frequency {i} = {z.real if z.imag == 0 else z!r} is not an integer")
+        ks = k.real.astype(int)
         out = np.zeros(len(ks), dtype=complex)
         for theta, w in self.atoms:
             out += complex(w) * np.exp(-1j * ks * float(theta))

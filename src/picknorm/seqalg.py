@@ -16,7 +16,8 @@ frequency window plus a geometric tail for the coefficient algebras, over
 one exact period for commensurate circle angles, and on a uniform grid
 inflated by the Bernstein derivative factor for the torus backend.  Weak
 duality (every certified bound <= every feasible objective) is asserted on
-each solve.
+each solve by ``core.make_result``, which also raises SolverStall, carrying
+the bracket, when it is wider than the tolerance.
 """
 
 from __future__ import annotations
@@ -31,7 +32,6 @@ from .core import (
     CertificateRejected,
     GridTooCoarse,
     NormResult,
-    SolverError,
     SolverStall,
     TailBoundFailure,
     check_sites,
@@ -127,8 +127,12 @@ def np_norm_analytic_wiener(lambdas, targets, tolerance: float = 1e-9) -> NormRe
     by the dual polynomial, falling back to the full truncation range).
     Dual: LP over b with |sum_i b_i lam_i^k| <= 1 enforced on a window and a
     geometric tail constraint; the certified supremum re-derives the bound
-    independently of the LP.  Inputs pass ``core.check_sites``,
-    ``core.check_targets`` and ``core.check_tolerance``.
+    independently of the LP.  After eight rounds (three with a site on the
+    unit circle) a bracket still wider than ``tolerance`` raises
+    SolverStall (TailBoundFailure for the boundary case) carrying it, its
+    certificate that of the last round plus a ``note``.  Inputs pass
+    ``core.check_sites``, ``core.check_targets`` and
+    ``core.check_tolerance``.
     """
     check_tolerance(tolerance)
     lam = check_sites("analytic_wiener", lambdas)
@@ -137,7 +141,7 @@ def np_norm_analytic_wiener(lambdas, targets, tolerance: float = 1e-9) -> NormRe
     floor = sup_lower_bound(a)
     if floor == 0.0:
         return make_result(0.0, 0.0, 0.0, {"method": "analytic_l1",
-                                           "note": "zero targets"})
+                                           "note": "zero targets"}, 0, tolerance)
 
     rmax = float(np.max(np.abs(lam)))
     boundary = rmax >= 1.0 - 1e-14
@@ -190,9 +194,9 @@ def np_norm_analytic_wiener(lambdas, targets, tolerance: float = 1e-9) -> NormRe
         if ub < best_upper:
             best_upper = ub
 
-        if lower > best_upper + 1e-9 * max(1.0, best_upper):
-            raise SolverError("weak duality violated (internal error)")
-        if best_upper - lower <= tolerance:
+        # a boundary site makes the geometric tail constant, so the dual
+        # bound can never rise above the sup floor: give up early
+        if best_upper - lower <= tolerance or rounds >= (3 if boundary else 8):
             certificate = {
                 "method": "analytic_l1",
                 "dual": _cert_payload(cert),
@@ -200,24 +204,17 @@ def np_norm_analytic_wiener(lambdas, targets, tolerance: float = 1e-9) -> NormRe
                 "coefficients": _complex_list(c),
                 "upper_history": upper_history,
             }
-            return make_result(lower, best_upper, floor, certificate, rounds)
-
+            note = ("boundary site |lambda| = 1: the geometric dual tail cannot "
+                    "certify above the floor" if boundary else
+                    f"not closed after {rounds} rounds at degree {plan.degree}")
+            try:
+                return make_result(lower, best_upper, floor, certificate, rounds,
+                                   tolerance, note)
+            except SolverStall as exc:
+                if not boundary:
+                    raise
+                raise TailBoundFailure(str(exc), exc.partial) from None
         window = min(2 * window, _MAX_DEGREE)
-        # a boundary site makes the geometric tail constant, so the dual
-        # bound can never rise above the sup floor: give up early
-        if rounds >= (3 if boundary else 8):
-            partial = make_result(lower, best_upper, floor, {
-                "method": "analytic_l1",
-                "dual": _cert_payload(cert),
-                "note": "bracket did not close",
-            }, rounds)
-            if boundary:
-                raise TailBoundFailure(
-                    "boundary site |lambda| = 1: geometric dual tail cannot "
-                    f"close the bracket (gap {best_upper - lower:.3e})")
-            raise SolverStall(
-                f"gap {best_upper - lower:.3e} > tolerance {tolerance:.3e} "
-                f"after degree {plan.degree}", partial)
 
 
 # --------------------------------------------------------------------------
@@ -271,7 +268,10 @@ def np_norm_wiener(thetas, targets, tolerance: float = 1e-9) -> NormResult:
     sides finite and fully certified.  Incommensurate angles keep a
     truncated primal; the certified lower bound falls back to the sup floor
     and the (window-limited) dual value is reported as a diagnostic only.
-    Inputs pass ``core.check_sites``, ``core.check_targets`` and
+    A bracket that does not close (the period reduction's primal LP stops
+    short, or the truncation degree stagnates or reaches 1024) raises
+    SolverStall carrying it, its certificate that of the last round plus a
+    ``note``.  Inputs pass ``core.check_sites``, ``core.check_targets`` and
     ``core.check_tolerance``.
     """
     check_tolerance(tolerance)
@@ -281,7 +281,7 @@ def np_norm_wiener(thetas, targets, tolerance: float = 1e-9) -> NormResult:
     floor = sup_lower_bound(a)
     if floor == 0.0:
         return make_result(0.0, 0.0, 0.0, {"method": "wiener_l1",
-                                           "note": "zero targets"})
+                                           "note": "zero targets"}, 0, tolerance)
 
     q = common_period(th)
     if q is not None:
@@ -310,20 +310,15 @@ def np_norm_wiener(thetas, targets, tolerance: float = 1e-9) -> NormResult:
                 upper, c = up_try, c_try
             if upper - lower <= tolerance:
                 break
-        if lower > upper + 1e-9 * max(1.0, upper):
-            raise SolverError("weak duality violated (internal error)")
         certificate = {
             "method": "wiener_l1_residues",
             "period": q,
             "dual": _cert_payload(cert),
             "residue_coefficients": _complex_list(c),
         }
-        result = make_result(lower, upper, floor, certificate, rounds)
-        if result.width() <= tolerance:
-            return result
-        raise SolverStall(
-            f"gap {result.width():.3e} > tolerance {tolerance:.3e} on "
-            f"period-{q} reduction", result)
+        return make_result(lower, upper, floor, certificate, rounds, tolerance,
+                           note=f"period-{q} reduction: the primal LP stopped "
+                           "short of the dual bound")
 
     # incommensurate: truncated primal, floor-certified lower
     K = 32
@@ -351,13 +346,6 @@ def np_norm_wiener(thetas, targets, tolerance: float = 1e-9) -> NormResult:
                                           phase_hints=hints)
         best_upper = min(best_upper, ub)
 
-        if best_upper - floor <= tolerance:
-            certificate = {
-                "method": "wiener_l1_truncated",
-                "degree": K,
-                "window_limited_dual": _cert_payload(diag),
-            }
-            return make_result(floor, best_upper, floor, certificate, rounds)
         # give up when the per-doubling progress cannot close the remaining
         # gap within the degree cap
         if prev_upper - best_upper <= max(tolerance / 10,
@@ -366,17 +354,15 @@ def np_norm_wiener(thetas, targets, tolerance: float = 1e-9) -> NormResult:
         else:
             stagnations = 0
         prev_upper = best_upper
-        if K >= 1024 or stagnations >= 2:
-            partial = make_result(floor, best_upper, floor, {
+        if best_upper - floor <= tolerance or K >= 1024 or stagnations >= 2:
+            certificate = {
                 "method": "wiener_l1_truncated",
                 "degree": K,
                 "window_limited_dual": _cert_payload(diag),
-                "note": "incommensurate angles: certified bracket did not close",
-            }, rounds)
-            raise SolverStall(
-                "incommensurate angles: certified lower bound is the sup "
-                f"floor and the gap {best_upper - floor:.3e} exceeds the "
-                f"tolerance {tolerance:.3e}", partial)
+            }
+            return make_result(floor, best_upper, floor, certificate, rounds,
+                               tolerance, note="incommensurate angles: the "
+                               "certified lower bound is the sup floor")
         K *= 2
 
 
@@ -542,7 +528,10 @@ def np_norm_l1_torus(ks, targets, tolerance: float = 1e-9) -> NormResult:
     Upper bound: an interpolating atomic measure supported near the
     maximizers of the optimal |q| (the measure minimum equals the L1
     infimum for this finite-codimension quotient, and it is attained).
-    Inputs pass ``core.check_sites`` (integer frequencies, never
+    After four rounds, or once certifying the gap would need a grid beyond
+    2^25 points, a bracket still wider than ``tolerance`` raises
+    SolverStall carrying it, its certificate that of the last round plus a
+    ``note``.  Inputs pass ``core.check_sites`` (integer frequencies, never
     truncated), ``core.check_targets`` and ``core.check_tolerance``.
     """
     check_tolerance(tolerance)
@@ -552,7 +541,7 @@ def np_norm_l1_torus(ks, targets, tolerance: float = 1e-9) -> NormResult:
     floor = sup_lower_bound(a)
     if floor == 0.0:
         return make_result(0.0, 0.0, 0.0, {"method": "torus_l1",
-                                           "note": "zero targets"})
+                                           "note": "zero targets"}, 0, tolerance)
 
     span = int(np.max(ks) - np.min(ks))
     coarse = tolerance >= 1e-3
@@ -623,30 +612,20 @@ def np_norm_l1_torus(ks, targets, tolerance: float = 1e-9) -> NormResult:
             atoms_payload = {"angles": [float(t) for t in cands[keep]],
                              "weights": _complex_list(w[keep])}
 
-        if lower > best_upper + 1e-9 * max(1.0, best_upper):
-            raise SolverError("weak duality violated (internal error)")
-        if best_upper - lower <= tolerance:
+        # further refinement is pointless when certifying the remaining gap
+        # would need a grid beyond the cap
+        D = int(np.max(np.abs(ks)))
+        needed = math.pi * D * max(1.0, best_upper) / max(tolerance / 2, 1e-300)
+        if best_upper - lower <= tolerance or rounds >= 4 or needed > _MAX_CERT_GRID:
             certificate = {
                 "method": "torus_l1",
                 "dual": _cert_payload(cert),
                 "atoms": atoms_payload,
             }
-            return make_result(lower, best_upper, floor, certificate, rounds)
-
-        # further refinement is pointless when certifying the remaining gap
-        # would need a grid beyond the cap
-        D = int(np.max(np.abs(ks)))
-        needed = math.pi * D * max(1.0, best_upper) / max(tolerance / 2, 1e-300)
-        if rounds >= 4 or needed > _MAX_CERT_GRID:
-            partial = make_result(lower, best_upper, floor, {
-                "method": "torus_l1",
-                "dual": _cert_payload(cert),
-                "atoms": atoms_payload,
-                "note": "bracket did not close at the requested tolerance",
-            }, rounds)
-            raise SolverStall(
-                f"gap {best_upper - lower:.3e} > tolerance {tolerance:.3e}; "
-                "certification grid capped", partial)
+            return make_result(lower, best_upper, floor, certificate, rounds,
+                               tolerance, note=f"stopped in round {rounds} of 4; "
+                               f"certifying the gap needs a grid of {needed:.3g} "
+                               f"points, cap {_MAX_CERT_GRID}")
 
         # refine: more dual polishing, more primal effort, sharper grid
         b = mcm.solve(tol=1e-12, row_oracle=angle_oracle)

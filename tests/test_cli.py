@@ -107,6 +107,36 @@ def test_compute_solver_stall_exit_3(tmp_path, capsys):
     assert code == 3
 
 
+def test_compute_analytic_wiener_writes_complex_sites(tmp_path, capsys):
+    # the dual certificate keeps its disc sites as complex numbers; the
+    # JSON output writes them as [re, im]
+    doc = {"backend": "analytic_wiener", "sites": [0, 0.5], "targets": [0, 0.25]}
+    path = write(tmp_path, "p.json", doc)
+    code, out, _ = run_cli(capsys, "compute", path)
+    assert code == 0
+    dual = json.loads(out)["certificate"]["dual"]
+    assert dual["meta"]["sites"] == [[0.0, 0.0], [0.5, 0.0]]
+
+
+def test_compute_non_integer_dimension_exit_2(tmp_path, capsys):
+    doc = {"backend": "finite_sup", "sites": [1, 2], "targets": [1, -1],
+           "backend_params": {"dimension": 2.7}}
+    path = write(tmp_path, "p.json", doc)
+    code, _, err = run_cli(capsys, "compute", path)
+    assert code == 2
+    assert "dimension" in err
+
+
+@pytest.mark.parametrize("slack", ["x", -0.1, 2.0, float("nan"), [1e-6]],
+                         ids=["string", "negative", "two", "nan", "list"])
+def test_gleason_bad_part_slack_exit_2(tmp_path, capsys, slack):
+    doc = {"backend": "hardy", "sites": [0.0, 0.5], "part_slack": slack}
+    path = write(tmp_path, "p.json", doc)
+    code, _, err = run_cli(capsys, "gleason", path)
+    assert code == 2
+    assert "part_slack" in err
+
+
 def test_gleason_disc_pair(tmp_path, capsys):
     doc = {"backend": "hardy", "sites": [[0.0, 0.0], [0.5, 0.0]]}
     path = write(tmp_path, "g.json", doc)

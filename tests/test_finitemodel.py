@@ -40,6 +40,14 @@ def test_closure_accepts_genuine_subalgebra():
     FiniteAlgebra(3, "weighted_sup", basis=[[1, 1, 0], [0, 0, 1]])
 
 
+def test_closure_rule_is_the_block_rule():
+    # two coordinate columns 1.2e-12 apart but rank one: the span's square
+    # stays within least squares of it, yet it has no block structure, so
+    # the constructor rejects it as the closed form would
+    with pytest.raises(DomainViolation, match="closed"):
+        FiniteAlgebra(2, "weighted_sup", basis=[[1, 1 + 1.2e-12]])
+
+
 def test_subspace_constructor_skips_closure():
     alg = FiniteAlgebra.subspace([[1, 1, 1], [1, OMEGA, OMEGA ** 2]])
     assert alg.basis.shape == (2, 3)

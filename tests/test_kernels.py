@@ -123,6 +123,13 @@ def test_measure_fourier_and_mass():
     assert got[1] == pytest.approx(want1, abs=1e-12)
 
 
+def test_measure_fourier_allows_repeated_frequencies():
+    # unlike sites, frequencies may repeat, and integer-valued floats are
+    # integers (1.5 is rejected: tests/test_validation.py)
+    got = unit_point_mass(0.5).fourier([1, 1.0, 2])
+    assert got[0] == got[1] == pytest.approx(np.exp(-0.5j), abs=1e-15)
+
+
 def test_smoothing_chain_point_mass():
     rep = smoothing_chain(unit_point_mass(), [0, 1], orders=[4, 8, 16])
     assert rep["coefficients_match"]

@@ -3,7 +3,8 @@
 Each row is one entry point and one bad value: a NaN site, an infinite
 target, a non-integer frequency or coordinate, a duplicate site or a target
 count that does not match.  The rules live in ``core.check_sites``,
-``core.check_targets`` and ``core.check_tolerance``.  An entry point that
+``core.check_targets`` and ``core.check_tolerance`` (``core._integer`` for
+``TorusMeasure.fourier``, whose frequencies may repeat).  An entry point that
 skips them truncates the value, solves with it, fails inside a solver or
 never returns, so each row runs under a one-second deadline.
 """
@@ -124,6 +125,7 @@ ROWS = [
      lambda: smoothing_chain(unit_point_mass(), [1.5, 2]), DomainViolation),
     ("smoothing_chain-duplicate", lambda: smoothing_chain(unit_point_mass(), [2, 2]),
      DuplicateSite),
+    ("fourier-non-integer", lambda: unit_point_mass(0.5).fourier([1.5]), DomainViolation),
     # problem dispatch
     ("compute-hardy-nan-site",
      lambda: compute_np_norm(problem("hardy", "disc_point", [NAN, 0.5], [1, 2])),
