@@ -9,10 +9,15 @@ current iterate (Kelley's cutting-plane method), which reaches 1e-10 gaps
 with a few dozen half-planes where a uniform polygon would need thousands.
 
 ``CutLP`` is the one engine that builds and solves these cut LPs; every cut
-loop here and in the finite backends is a specification on it.  Its rows
-come in a fixed order (bounded maps, then epigraph maps, each map by map
-and phase by phase, then the caller's rows), because HiGHS's vertex depends
-on the row order and on every coefficient's bits.
+loop here and in the finite backends is a specification on it.  Its first
+solve builds every row in a fixed order (bounded maps, then epigraph maps,
+each map by map and phase by phase, then the caller's rows) and keeps the
+HiGHS model it solved.  Each later solve appends only the rows added since,
+and HiGHS restarts dual simplex from the previous optimal basis without
+presolve (Huangfu & Hall 2018, "Parallelizing the dual revised simplex
+method", Math. Prog. Comp. 10).  The optimal value does not depend on that
+history, but the vertex HiGHS returns does: it depends on the row order, the
+basis it starts from and every coefficient's bits.
 
 Every bound reported upward is certified by direct evaluation of the
 returned vectors, never by trusting the solver's objective value alone.
@@ -38,7 +43,7 @@ except (ImportError, AttributeError):
     _highs_wrapper = None
 
 
-def solve_lp(c, A_ub, b_ub, A_eq, b_eq, bounds):
+def solve_lp(c, A_ub, b_ub, A_eq, b_eq, bounds, *, model=None):
     """min c.x s.t. A_ub x <= b_ub, A_eq x = b_eq, bounds; HiGHS dual simplex.
 
     Calls scipy's HiGHS bindings directly, with the options linprog(highs)
@@ -47,20 +52,56 @@ def solve_lp(c, A_ub, b_ub, A_eq, b_eq, bounds):
     imported (a scipy without ``scipy.optimize._highspy._highs_wrapper``),
     it calls linprog(method="highs"); both paths solve the same LP.
 
+    ``model``, the ``model`` of an earlier direct result, re-solves that LP
+    with the rows ``A_ub x <= b_ub`` appended (``c``, ``A_eq``, ``b_eq`` and
+    ``bounds`` are already in it): HiGHS keeps its optimal basis and
+    warm-starts dual simplex without presolve.  Passing ``A_eq`` with it, or
+    passing it without the direct bindings, raises ``ValueError``.
+
     Returns an object with ``x``, ``fun`` and ``status`` for an optimal
-    point.  Its status is 0 on the direct path; linprog sets 4 ("numerical
-    difficulties") where its own re-check finds the point outside the
-    constraints by more than 3.2e-4, and that is accepted too: nothing
-    downstream trusts solver feasibility claims — bounds are always
-    re-certified by direct evaluation, and equality residuals are repaired.
-    An infeasible LP raises ``InfeasibleCoset``; every other outcome raises
-    ``SolverStall`` naming the solver's status.
+    point, and on the direct path the solved HiGHS ``model``.  Its status is
+    0 on the direct path; linprog sets 4 ("numerical difficulties") where its
+    own re-check finds the point outside the constraints by more than
+    3.2e-4, and that is accepted too: nothing downstream trusts solver
+    feasibility claims — bounds are always re-certified by direct
+    evaluation, and equality residuals are repaired.  An infeasible LP
+    raises ``InfeasibleCoset``; every other outcome raises ``SolverStall``
+    naming the solver's status.
     """
+    if model is not None and (_highs_wrapper is None or A_eq is not None):
+        raise ValueError("model= takes only appended A_ub rows, on the direct path")
     if _highs_wrapper is None:
         return _solve_linprog(c, A_ub, b_ub, A_eq, b_eq, bounds)
     # looked up per call, as linprog does, so a tracer that swaps the
     # module handle sees every solve
     h = _highs_wrapper._h
+    if model is None:
+        highs = h._Highs()
+        highs.passOptions(_HIGHS_OPTIONS)
+        ok = highs.passModel(_highs_lp(h, c, A_ub, b_ub, A_eq, b_eq, bounds))
+    else:
+        highs = model
+        A = sparse.csr_array(A_ub)
+        ok = highs.addRows(A.shape[0], np.full(A.shape[0], -np.inf),
+                           np.asarray(b_ub, dtype=float), A.nnz,
+                           A.indptr.astype(np.int32), A.indices.astype(np.int32),
+                           A.data)
+    if ok == h.HighsStatus.kError:
+        status = h.HighsModelStatus.kModelError
+    else:
+        highs.run()
+        status = highs.getModelStatus()
+    if status == h.HighsModelStatus.kInfeasible:
+        raise InfeasibleCoset("linear system has no solution")
+    if status != h.HighsModelStatus.kOptimal:
+        raise SolverStall(f"LP solver failed (HiGHS status {int(status)}): "
+                          f"{highs.modelStatusToString(status)}")
+    return OptimizeResult(x=np.array(highs.getSolution().col_value),
+                          fun=highs.getObjectiveValue(), status=0, model=highs)
+
+
+def _highs_lp(h, c, A_ub, b_ub, A_eq, b_eq, bounds):
+    """The HighsLp of min c.x s.t. A_ub x <= b_ub, A_eq x = b_eq, bounds."""
     c = np.asarray(c, dtype=float)
     n = len(c)
     b_ub = np.zeros(0) if A_ub is None else np.asarray(b_ub, dtype=float)
@@ -84,21 +125,7 @@ def solve_lp(c, A_ub, b_ub, A_eq, b_eq, bounds):
     lp.col_upper_ = ub
     lp.row_lower_ = lhs
     lp.row_upper_ = rhs
-
-    highs = h._Highs()
-    highs.passOptions(_HIGHS_OPTIONS)
-    if highs.passModel(lp) == h.HighsStatus.kError:
-        status = h.HighsModelStatus.kModelError
-    else:
-        highs.run()
-        status = highs.getModelStatus()
-    if status == h.HighsModelStatus.kInfeasible:
-        raise InfeasibleCoset("linear system has no solution")
-    if status != h.HighsModelStatus.kOptimal:
-        raise SolverStall(f"LP solver failed (HiGHS status {int(status)}): "
-                          f"{highs.modelStatusToString(status)}")
-    return OptimizeResult(x=np.array(highs.getSolution().col_value),
-                          fun=highs.getObjectiveValue(), status=0)
+    return lp
 
 
 def _colwise(A_ub, A_eq, n: int):
@@ -162,6 +189,12 @@ class CutLP:
     set, which starts as ``cuts`` equally spaced phases and grows by
     ``add_cuts``.
 
+    The first ``solve`` builds every row map by map and keeps the solved
+    HiGHS model; each later one appends the rows of the phases (and bounded
+    maps) added since, and warm-starts from the previous basis, so the
+    returned vertex depends on the order of solves and additions.  Without
+    scipy's private HiGHS bindings every solve rebuilds the whole LP.
+
     Callers compare moduli as np.hypot(Re, Im), which rounds as the scalar
     abs() does (numpy's vectorized complex abs can differ in the last bit);
     those comparisons decide which cuts exist.
@@ -176,10 +209,13 @@ class CutLP:
         self.phases0 = np.arange(cuts) * (2 * np.pi / cuts)
         self.phases = [self.phases0] * (d if M is None else len(M))
         self.lp = (cost, A_ub, b_ub, A_eq, b_eq, bounds)
+        self.model = None  # the live HiGHS model, after the first solve
+        self.sent = [0] * len(self.phases)  # phases of each map in the model
 
     def add_bounded(self, row) -> None:
         """Add the map L(u) = row . u with |L(u)| <= 1, after the earlier ones."""
         self.phases.insert(len(self.bounded), self.phases0)
+        self.sent.insert(len(self.bounded), 0)
         self.bounded.append(np.asarray(row, dtype=complex))
 
     def values(self, u: np.ndarray) -> np.ndarray:
@@ -207,12 +243,30 @@ class CutLP:
         return added
 
     def solve(self):
-        """Build every cut row in one pass and solve; returns (u, result)."""
+        """Solve with every cut so far; returns (u, result).
+
+        The first solve builds every row in one pass; later ones append the
+        rows added since to the live model.
+        """
         cost, A_ub, b_ub, A_eq, b_eq, bounds = self.lp
+        if self.model is None:
+            A, rhs = self._rows(self.phases, len(cost), A_ub, b_ub)
+            res = solve_lp(cost, A, rhs, A_eq, b_eq, bounds)
+            self.model = res.get("model")  # None from linprog
+        else:
+            new = [ph[s:] for ph, s in zip(self.phases, self.sent)]
+            A, rhs = self._rows(new, len(cost))
+            res = solve_lp(cost, A, rhs, None, None, bounds, model=self.model)
+        self.sent = [len(ph) for ph in self.phases]
+        return res.x[:self.d] + 1j * res.x[self.d:2 * self.d], res
+
+    def _rows(self, phases: list, ncols: int, A_ub=None, b_ub=None):
+        """The cut rows of map j at the phases ``phases[j]``, map by map,
+        then the rows ``A_ub x <= b_ub``; returns (A, rhs)."""
         d, nb = self.d, len(self.bounded)
-        counts = [len(ph) for ph in self.phases]
+        counts = [len(ph) for ph in phases]
         ks = np.repeat(np.arange(len(counts)), counts)  # the map of each row
-        e = np.exp(-1j * np.concatenate(self.phases))
+        e = np.exp(-1j * np.concatenate(phases))
         rows = np.arange(len(ks))
         epi = ks >= nb
         # maps with a coefficient row: the bounded ones and those of M
@@ -239,10 +293,8 @@ class CutLP:
             rhs = np.concatenate([rhs, b_ub])
         r, c, v = (np.concatenate(a) for a in (r, c, v))
         keep = v != 0
-        A = sparse.coo_array((v[keep], (r[keep], c[keep])),
-                             shape=(len(rhs), len(cost)))
-        res = solve_lp(cost, A, rhs, A_eq, b_eq, bounds)
-        return res.x[:d] + 1j * res.x[d:2 * d], res
+        return sparse.coo_array((v[keep], (r[keep], c[keep])),
+                                shape=(len(rhs), ncols)), rhs
 
 
 def _irls_polish(A: np.ndarray, rhs: np.ndarray, w: np.ndarray,
@@ -323,7 +375,10 @@ def _phase_hint_solution(A: np.ndarray, rhs: np.ndarray, w: np.ndarray,
     Complementary slackness pins the optimal phase of every coordinate to
     the dual solution, so solving min sum w r at those phases recovers a
     sparse optimal point even when the cut LP returns a smeared vertex of a
-    degenerate face.
+    degenerate face.  Hints from an inexact dual can leave that LP
+    infeasible by more than HiGHS's 1e-7 tolerance; it is then solved again
+    with elastic equalities (slacks priced at 1e6 max(w)), and the point is
+    projected onto Ac = rhs, so it is ranked by a value it really has.
     """
     m, n = A.shape
     cols = A * np.exp(1j * hints)[None, :]
@@ -331,10 +386,30 @@ def _phase_hint_solution(A: np.ndarray, rhs: np.ndarray, w: np.ndarray,
     rhs_r = np.concatenate([rhs.real, rhs.imag])
     try:
         res = solve_lp(w, None, None, M, rhs_r, [(0, None)] * n)
-    except (InfeasibleCoset, SolverStall):
+        return np.maximum(res.x, 0.0) * np.exp(1j * hints)
+    except InfeasibleCoset:
+        pass
+    except SolverStall:
         return None
-    r = np.maximum(res.x, 0.0)
-    return r * np.exp(1j * hints)
+    eye = np.eye(2 * m)
+    cost = np.concatenate([w, np.full(4 * m, 1e6 * float(np.max(w)))])
+    try:
+        res = solve_lp(cost, None, None, np.hstack([M, eye, -eye]), rhs_r,
+                       [(0, None)] * (n + 4 * m))
+    except SolverStall:
+        return None
+    return _project(A, rhs, np.maximum(res.x[:n], 0.0) * np.exp(1j * hints))
+
+
+def _project(A: np.ndarray, rhs: np.ndarray, c: np.ndarray) -> np.ndarray:
+    """c plus the least-norm correction onto the affine set Ac = rhs."""
+    resid = rhs - A @ c
+    if not np.any(resid):
+        return c
+    try:
+        return c + A.conj().T @ np.linalg.solve(A @ A.conj().T, resid)
+    except np.linalg.LinAlgError:
+        return c + np.linalg.lstsq(A, resid, rcond=None)[0]
 
 
 def min_weighted_l1(A: np.ndarray, rhs: np.ndarray, weights=None, *,
@@ -408,19 +483,11 @@ def min_weighted_l1(A: np.ndarray, rhs: np.ndarray, weights=None, *,
                             (np.hypot(c.real, c.imag) > 1e-15), c):
             break
 
-    # repair: project onto the exact affine set (least-norm correction for
-    # the solver's equality-feasibility tolerance), so the evaluated upper
-    # bound comes from a point feasible to machine rounding
-    resid = rhs - A @ best_c
-    if np.any(resid):
-        gram = A @ A.conj().T
-        try:
-            best_c = best_c + A.conj().T @ np.linalg.solve(gram, resid)
-        except np.linalg.LinAlgError:
-            best_c = best_c + np.linalg.lstsq(A, resid, rcond=None)[0]
-    best_upper = float(np.sum(w * np.abs(best_c)))
-
-    return best_c, lp_lower, best_upper, rounds
+    # repair: the least-norm correction for the solver's equality
+    # tolerance, so the evaluated upper bound comes from a point feasible
+    # to machine rounding
+    best_c = _project(A, rhs, best_c)
+    return best_c, lp_lower, float(np.sum(w * np.abs(best_c))), rounds
 
 
 class ModulusConstrainedMax:

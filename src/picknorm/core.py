@@ -244,9 +244,21 @@ def sup_lower_bound(targets: Sequence[complex]) -> float:
 # functionals, a target count that does not match) is rejected the same way
 # on every path.
 
-def _integer(z: complex) -> bool:
-    # within 2**53 every integer is exact in a double and in an int64
-    return z.imag == 0.0 and z.real.is_integer() and abs(z.real) <= 2.0 ** 53
+def _integer(z):
+    """Whether ``z`` is a real integer (elementwise, for a complex array).
+
+    Within 2**53 every integer is exact in a double and in an int64.
+    """
+    return (z.imag == 0.0) & (abs(z.real) <= 2.0 ** 53) & (np.floor(z.real) == z.real)
+
+
+def check_dimension(d) -> int:
+    """A finite model's dimension: a real integer >= 1 by ``_integer``
+    (2.7, NaN and True are rejected, never truncated)."""
+    if not (isinstance(d, numbers.Real) and not isinstance(d, bool)
+            and _integer(complex(d)) and d >= 1):
+        raise DomainViolation(f"dimension must be an integer >= 1, got {d!r}")
+    return int(d)
 
 
 # backend -> (the rule in words, predicate on (site, dimension)); a NaN or
@@ -339,11 +351,7 @@ def validate_problem(p: InterpolationProblem) -> None:
 
 def _finite_dimension(params: dict) -> int | None:
     if "dimension" in params:
-        d = params["dimension"]
-        if not (isinstance(d, numbers.Real) and not isinstance(d, bool)
-                and _integer(complex(d)) and d >= 1):
-            raise DomainViolation(f"dimension must be an integer >= 1, got {d!r}")
-        return int(d)
+        return check_dimension(params["dimension"])
     if "weights" in params and params["weights"] is not None:
         return len(params["weights"])
     return None

@@ -41,6 +41,7 @@ from .core import (
     InfeasibleCoset,
     NormResult,
     SolverStall,
+    check_dimension,
     check_sites,
     check_targets,
     check_tolerance,
@@ -68,9 +69,7 @@ class FiniteAlgebra:
                  p: float | None = None, basis=None, closure_check: bool = True):
         if norm_kind not in NORM_KINDS:
             raise DomainViolation(f"unknown norm kind {norm_kind!r}")
-        self.dimension = int(dimension)
-        if self.dimension < 1:
-            raise DomainViolation("dimension must be >= 1")
+        self.dimension = check_dimension(dimension)
         self.norm_kind = norm_kind
         self.backend = next(b for b, k in FINITE_NORM_KINDS.items() if k == norm_kind)
 
@@ -80,14 +79,17 @@ class FiniteAlgebra:
             w = np.asarray(weights, dtype=float).ravel()
             if len(w) != self.dimension:
                 raise DomainViolation("weights length must equal dimension")
+            bad = np.flatnonzero(~np.isfinite(w))
+            if len(bad):
+                raise DomainViolation(f"weight {bad[0]} = {float(w[bad[0]])} is not finite")
         if norm_kind in ("weighted_sup", "weighted_l1"):
             if np.any(w < 1.0):
                 raise DomainViolation(
                     f"{norm_kind} needs weights >= 1 (submultiplicativity)")
             self.p = None
         else:
-            if p is None or p < 1.0:
-                raise DomainViolation("lp norm needs exponent p >= 1")
+            if p is None or not 1.0 <= p < math.inf:
+                raise DomainViolation(f"lp norm needs a finite exponent p >= 1, got {p!r}")
             if np.any(w != 1.0):
                 raise DomainViolation("lp norm uses unit weights")
             self.p = float(p)

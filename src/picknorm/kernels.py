@@ -86,10 +86,12 @@ class TorusMeasure:
         integer by ``core._integer`` (1.5 is rejected, never truncated);
         repeats are allowed."""
         k = np.asarray(ks, dtype=complex).ravel()
-        for i, z in enumerate(k.tolist()):
-            if not _integer(z):
-                raise DomainViolation(
-                    f"frequency {i} = {z.real if z.imag == 0 else z!r} is not an integer")
+        bad = np.flatnonzero(~_integer(k))
+        if len(bad):
+            i = int(bad[0])
+            z = complex(k[i])
+            raise DomainViolation(
+                f"frequency {i} = {z.real if z.imag == 0 else z!r} is not an integer")
         ks = k.real.astype(int)
         out = np.zeros(len(ks), dtype=complex)
         for theta, w in self.atoms:

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -128,6 +130,17 @@ def test_measure_fourier_allows_repeated_frequencies():
     # integers (1.5 is rejected: tests/test_validation.py)
     got = unit_point_mass(0.5).fourier([1, 1.0, 2])
     assert got[0] == got[1] == pytest.approx(np.exp(-0.5j), abs=1e-15)
+
+
+@pytest.mark.parametrize("ks,first", [
+    ([1, 2.5, 3.5], "frequency 1 = 2.5 "),
+    ([0, 1, 2 + 1j], "frequency 2 = (2+1j) "),
+    ([0, 2.0 ** 54, np.nan], "frequency 1 = 1.8014398509481984e+16 "),
+    ([0, np.inf], "frequency 1 = inf "),
+])
+def test_measure_fourier_names_the_first_bad_frequency(ks, first):
+    with pytest.raises(DomainViolation, match=re.escape(first)):
+        unit_point_mass(0.5).fourier(ks)
 
 
 def test_smoothing_chain_point_mass():

@@ -1,11 +1,19 @@
-"""The two LP paths of ``_lp.solve_lp`` give the same brackets.
+"""The LP paths of ``_lp`` give brackets that agree.
 
 ``solve_lp`` calls scipy's private HiGHS bindings directly and falls back to
-``linprog(method="highs")`` when they cannot be imported.  These tests force
-the fallback by monkeypatching the module, so a scipy release that changes
-the private bindings fails here instead of silently moving a bracket.
+``linprog(method="highs")`` when they cannot be imported.  On the direct
+path ``CutLP`` keeps its HiGHS model alive and warm-starts each cut round
+from the previous basis; the fallback rebuilds the LP every round.  The two
+can return different optimal vertices, so these tests check what holds for
+any correct solver: the brackets of one problem intersect, every closed
+bracket is no wider than its tolerance, every LP-backend lower end survives
+``dual_certificate_check``, and a warm model's optimum equals a cold rebuild
+of the same cuts.  The fallback is forced by monkeypatching the module, so a
+scipy release that changes the private bindings fails here instead of
+silently moving a bracket.
 """
 
+import copy
 import importlib.util
 
 import numpy as np
@@ -14,6 +22,7 @@ import pytest
 from picknorm import _lp, verify
 from picknorm import finitemodel as fm
 from picknorm.core import InfeasibleCoset, SolverStall, compute_np_norm
+from picknorm.seqalg import DualCertificate, dual_certificate_check
 
 HAS_BINDINGS = importlib.util.find_spec("scipy.optimize._highspy._highs_wrapper") is not None
 
@@ -30,14 +39,35 @@ def _both_paths(monkeypatch, solve):
     return direct, fallback
 
 
-def _bracket(problem):
+def _result(solve):
+    """(result, closed) of a solve, with a stall's partial bracket."""
     try:
-        r = compute_np_norm(problem)
+        return solve(), True
     except SolverStall as exc:
-        r = exc.partial
-        if r is None:
-            return "stall"
-    return r.lower, r.upper
+        assert exc.partial is not None, exc
+        return exc.partial, False
+
+
+def _certified_lower(r, targets) -> float:
+    """The lower end a result's dual certificate justifies after recheck."""
+    floor = max(abs(complex(a)) for a in targets)
+    payload = r.certificate.get("dual")
+    if payload is None:
+        return floor
+    meta = dict(payload["meta"], targets=[complex(*z) for z in payload["meta"]["targets"]])
+    cert = DualCertificate(b=tuple(complex(*z) for z in payload["b"]),
+                           certified_sup=payload["certified_sup"],
+                           bound=payload["bound"], meta=meta)
+    return max(floor, dual_certificate_check(cert))
+
+
+def _assert_agree(direct, fallback, allowed):
+    """Brackets intersect; a closed one is no wider than allowed(i, r)."""
+    for i, ((rd, cd), (rf, cf)) in enumerate(zip(direct, fallback)):
+        assert max(rd.lower, rf.lower) <= min(rd.upper, rf.upper), (rd, rf)
+        for r, closed in ((rd, cd), (rf, cf)):
+            if closed:
+                assert r.upper - r.lower <= allowed(i, r), r
 
 
 @direct_only
@@ -49,36 +79,89 @@ def test_direct_bindings_are_used():
 @direct_only
 @pytest.mark.parametrize("backend", ["analytic_wiener", "wiener", "l1_torus"])
 def test_remark1_brackets_match(monkeypatch, backend):
+    rng = np.random.default_rng(2024)
+    problems = [verify._floor_problem(backend, rng) for _ in range(80)]
+
     def solve():
-        rng = np.random.default_rng(2024)
-        return [_bracket(verify._floor_problem(backend, rng)) for _ in range(80)]
+        out = []
+        for p in problems:
+            r, closed = _result(lambda: compute_np_norm(p))
+            lower = _certified_lower(r, p.targets)
+            assert r.lower <= lower + 1e-9 * max(1.0, lower), (r, lower)
+            out.append((r, closed))
+        return out
 
     direct, fallback = _both_paths(monkeypatch, solve)
-    assert direct == fallback
+    _assert_agree(direct, fallback, lambda i, r: problems[i].tolerance)
 
 
 @direct_only
 def test_generic_finite_brackets_match(monkeypatch):
+    rng = np.random.default_rng(2025)
+    problems = []
+    for kind in ("weighted_sup", "weighted_l1", "lp"):
+        for _ in range(40):
+            dim = int(rng.integers(1, 7))
+            if kind == "lp":
+                alg = fm.FiniteAlgebra(dim, kind, p=float(1.0 + rng.uniform(0.2, 3)))
+            else:
+                alg = fm.FiniteAlgebra(dim, kind, weights=1.0 + rng.uniform(0, 2, dim))
+            n = int(rng.integers(1, dim + 1))
+            subset = [int(i) for i in
+                      rng.choice(np.arange(1, dim + 1), size=n, replace=False)]
+            a = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+            problems.append((alg, subset, a))
+
     def solve():
-        rng = np.random.default_rng(2025)
-        out = []
-        for kind in ("weighted_sup", "weighted_l1", "lp"):
-            for _ in range(40):
-                dim = int(rng.integers(1, 7))
-                if kind == "lp":
-                    alg = fm.FiniteAlgebra(dim, kind, p=float(1.0 + rng.uniform(0.2, 3)))
-                else:
-                    alg = fm.FiniteAlgebra(dim, kind, weights=1.0 + rng.uniform(0, 2, dim))
-                n = int(rng.integers(1, dim + 1))
-                subset = [int(i) for i in
-                          rng.choice(np.arange(1, dim + 1), size=n, replace=False)]
-                a = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-                r = fm.np_norm_generic(alg, subset, a, tolerance=1e-10)
-                out.append((r.lower, r.upper))
-        return out
+        return [_result(lambda: fm.np_norm_generic(alg, subset, a, tolerance=1e-10))
+                for alg, subset, a in problems]
 
     direct, fallback = _both_paths(monkeypatch, solve)
-    assert direct == fallback
+    # np_norm_generic closes at a relative width
+    _assert_agree(direct, fallback, lambda i, r: 1e-10 * max(1.0, r.upper))
+
+
+def _cold_fun(cut: _lp.CutLP) -> float:
+    """The optimum of the same cut set, rebuilt and solved from scratch."""
+    fresh = copy.copy(cut)
+    fresh.model = None
+    return fresh.solve()[1].fun
+
+
+@direct_only
+def test_live_model_matches_a_cold_rebuild():
+    rng = np.random.default_rng(7)
+    # the epigraph cut loop of min_weighted_l1: min sum |c_k| s.t. A c = rhs
+    m, n = 3, 12
+    A = rng.standard_normal((m, n)) + 1j * rng.standard_normal((m, n))
+    rhs = rng.standard_normal(m) + 1j * rng.standard_normal(m)
+    A_eq = np.block([[A.real, -A.imag, np.zeros((m, n))],
+                     [A.imag, A.real, np.zeros((m, n))]])
+    cut = _lp.CutLP(n, np.concatenate([np.zeros(2 * n), np.ones(n)]),
+                    [(None, None)] * (2 * n) + [(0, None)] * n, cuts=4,
+                    A_eq=A_eq, b_eq=np.concatenate([rhs.real, rhs.imag]))
+    for _ in range(4):
+        c, res = cut.solve()
+        assert cut.model is not None
+        cut.add_cuts(np.abs(c) > res.x[2 * n:] + 1e-12, c)
+    c, res = cut.solve()
+    assert res.fun == pytest.approx(_cold_fun(cut), rel=1e-9)
+
+    # the bounded maps of ModulusConstrainedMax, with rows added between
+    # solves as its row oracle adds them, and a caller's row (a tail)
+    mcm = _lp.ModulusConstrainedMax(rng.standard_normal(4) + 1j * rng.standard_normal(4),
+                                    abs_row=np.full(4, 0.1))
+    theta = np.linspace(0, 2 * np.pi, 24, endpoint=False)
+    rows = np.exp(1j * np.outer(theta, np.arange(4)))
+    for row in rows[:8]:
+        mcm.add_row(row)
+    for batch in (rows[8:16], rows[16:]):
+        b, res = mcm.cut.solve()
+        mcm._refine(b, res.x[8:], 1e-9)
+        for row in batch:
+            mcm.add_row(row)
+    b, res = mcm.cut.solve()
+    assert res.fun == pytest.approx(_cold_fun(mcm.cut), rel=1e-9)
 
 
 @pytest.mark.parametrize("fallback", [False, True])
@@ -97,3 +180,39 @@ def test_status_mapping(monkeypatch, fallback):
     assert res.status == 0
     assert res.fun == 1.0
     assert res.x.tolist() == [1.0, 0.0]
+
+
+@direct_only
+def test_appended_rows_warm_start():
+    c, bounds = [1.0, 2.0], [(0, None)] * 2
+    res = _lp.solve_lp(c, [[-1.0, -1.0]], [-1.0], None, None, bounds)
+    # append x0 <= 0.25: the optimum moves to (0.25, 0.75)
+    res = _lp.solve_lp(c, [[1.0, 0.0]], [0.25], None, None, bounds, model=res.model)
+    assert res.status == 0
+    assert res.x.tolist() == [0.25, 0.75]
+    assert res.fun == 1.75
+    # append x1 <= 0.5: x0 + x1 >= 1 can no longer hold
+    with pytest.raises(InfeasibleCoset):
+        _lp.solve_lp(c, [[0.0, 1.0]], [0.5], None, None, bounds, model=res.model)
+
+
+@direct_only
+def test_model_takes_only_appended_rows(monkeypatch):
+    c, bounds = [1.0, 2.0], [(0, None)] * 2
+    model = _lp.solve_lp(c, [[-1.0, -1.0]], [-1.0], None, None, bounds).model
+    with pytest.raises(ValueError):
+        _lp.solve_lp(c, None, None, [[1.0, 1.0]], [1.0], bounds, model=model)
+    # the fallback has no live model to append to
+    monkeypatch.setattr(_lp, "_highs_wrapper", None)
+    with pytest.raises(ValueError):
+        _lp.solve_lp(c, [[1.0, 0.0]], [0.25], None, None, bounds, model=model)
+
+
+def test_infeasible_phase_hints_give_a_projected_point():
+    # at phase pi/2 both columns are i, so i r0 + i r1 = 1 has no solution
+    # r >= 0; the elastic re-solve keeps r = 0 and the projection repairs it
+    A = np.array([[1.0, 1.0]], dtype=complex)
+    c = _lp._phase_hint_solution(A, np.array([1.0 + 0j]), np.ones(2),
+                                 np.full(2, np.pi / 2))
+    assert np.allclose(c, [0.5, 0.5], atol=1e-12)
+    assert abs(A @ c - 1.0)[0] <= 1e-15

@@ -1,3 +1,8 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -89,6 +94,36 @@ def test_analytic_upper_history_monotone():
     hist = res.certificate["upper_history"]
     for prev, cur in zip(hist, hist[1:]):
         assert cur <= prev + 1e-8
+
+
+_HINTED_DRAW = """
+from picknorm import np_norm_analytic_wiener
+r = np_norm_analytic_wiener(
+    [0.11381825320187305+0.1870940179912113j, 0.144561770566145+0.08243827736430138j,
+     -0.03595678245369218+0.46238028581123725j],
+    [-1.4098024098046154-0.878996699256103j, -0.030475702102764464-0.8778294720894735j,
+     -0.16995236537766406+1.823939295500078j], 5e-2)
+print(r.lower, r.upper)
+"""
+
+
+@pytest.mark.parametrize("blas_threads", ["1", "2"])
+def test_analytic_hinted_magnitude_lp_closes(blas_threads):
+    # the phase hints of this draw leave the hinted magnitude LP infeasible
+    # within HiGHS's 1e-7 tolerance; without its candidate the bracket
+    # stalled with upper 79.628, on one BLAS thread count or the other, so
+    # both are run
+    env = dict(os.environ, OPENBLAS_NUM_THREADS=blas_threads,
+               OMP_NUM_THREADS=blas_threads, MKL_NUM_THREADS=blas_threads)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(Path(__file__).resolve().parent.parent / "src")]
+        + [p for p in [env.get("PYTHONPATH")] if p])
+    proc = subprocess.run([sys.executable, "-c", _HINTED_DRAW], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    lower, upper = map(float, proc.stdout.split())
+    assert lower == pytest.approx(79.5702375754, abs=1e-9)
+    assert lower <= upper <= lower + 5e-2
 
 
 # ----------------------------------------------------------------------

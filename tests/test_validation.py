@@ -1,9 +1,10 @@
 """Bad input raises its ValidationError subclass on every public entry point.
 
 Each row is one entry point and one bad value: a NaN site, an infinite
-target, a non-integer frequency or coordinate, a duplicate site or a target
-count that does not match.  The rules live in ``core.check_sites``,
-``core.check_targets`` and ``core.check_tolerance`` (``core._integer`` for
+target, a non-integer frequency, coordinate or dimension, a non-finite
+weight or exponent, a duplicate site or a target count that does not match.
+The rules live in ``core.check_sites``, ``core.check_targets``,
+``core.check_tolerance`` and ``core.check_dimension`` (``core._integer`` for
 ``TorusMeasure.fourier``, whose frequencies may repeat).  An entry point that
 skips them truncates the value, solves with it, fails inside a solver or
 never returns, so each row runs under a one-second deadline.
@@ -97,6 +98,15 @@ ROWS = [
      DomainViolation),
     ("generic-duplicate", lambda: np_norm_generic(alg(), [1, 1], [1, 1]), DuplicateSite),
     ("generic-length", lambda: np_norm_generic(alg(), [1, 2], [1]), LengthMismatch),
+    ("algebra-nan-weight",
+     lambda: FiniteAlgebra(2, "weighted_sup", weights=[NAN, 1]), DomainViolation),
+    ("algebra-inf-weight",
+     lambda: FiniteAlgebra(2, "weighted_l1", weights=[1, INF]), DomainViolation),
+    ("algebra-nan-p", lambda: FiniteAlgebra(2, "lp", p=NAN), DomainViolation),
+    ("algebra-inf-p", lambda: FiniteAlgebra(2, "lp", p=INF), DomainViolation),
+    ("algebra-non-integer-dimension", lambda: FiniteAlgebra(2.7, "weighted_sup"),
+     DomainViolation),
+    ("algebra-nan-dimension", lambda: FiniteAlgebra(NAN, "weighted_sup"), DomainViolation),
     # Gleason parts
     ("distance_hardy-nan-site", lambda: gleason_distance_hardy(NAN, 0.5), DomainViolation),
     ("distance_hardy-duplicate", lambda: gleason_distance_hardy(0.3, 0.3), DuplicateSite),
@@ -137,6 +147,10 @@ ROWS = [
      lambda: compute_np_norm(problem("finite_sup", "coordinate_index", [1, 2], [NAN, 1],
                                      dimension=3)),
      DomainViolation),
+    ("compute-finite-nan-weight",
+     lambda: compute_np_norm(problem("finite_sup", "coordinate_index", [1, 2], [1, 1],
+                                     weights=[NAN, 1])),
+     DomainViolation),
 ]
 
 
@@ -155,6 +169,13 @@ def write(tmp_path, doc):
 def test_compute_nan_target_exits_2(tmp_path, capsys):
     path = write(tmp_path, {"backend": "analytic_wiener", "sites": [0.0, 0.5],
                             "targets": [NAN, 1.0]})
+    assert main(["compute", path]) == 2
+    assert "not finite" in capsys.readouterr().err
+
+
+def test_compute_nan_weight_exits_2(tmp_path, capsys):
+    path = write(tmp_path, {"backend": "finite_sup", "sites": [1, 2], "targets": [1, 1],
+                            "backend_params": {"weights": [NAN, 1]}})
     assert main(["compute", path]) == 2
     assert "not finite" in capsys.readouterr().err
 
