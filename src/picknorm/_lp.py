@@ -19,6 +19,13 @@ method", Math. Prog. Comp. 10).  The optimal value does not depend on that
 history, but the vertex HiGHS returns does: it depends on the row order, the
 basis it starts from and every coefficient's bits.
 
+The primal ``min_weighted_l1`` is dual first.  Given the phases of a dual
+solution, it first solves ``_magnitude_lp``, the LP over the magnitudes at
+those phases, and polishes that point by IRLS.  When the caller's certified
+lower bound already meets the better of the two, projected onto the
+constraints, it returns at once (``rounds == 0``); only an open gap runs
+the cut loop.
+
 Every bound reported upward is certified by direct evaluation of the
 returned vectors, never by trusting the solver's objective value alone.
 """
@@ -328,16 +335,38 @@ def _irls_polish(A: np.ndarray, rhs: np.ndarray, w: np.ndarray,
     return best
 
 
-def _phase_fixed_descent(A: np.ndarray, rhs: np.ndarray, w: np.ndarray,
-                         c0: np.ndarray, passes: int = 3) -> np.ndarray:
-    """Re-solve with the phases of the current iterate frozen.
+def _magnitude_lp(A: np.ndarray, rhs: np.ndarray, w: np.ndarray,
+                  phases: np.ndarray, slack: float | None = None) -> np.ndarray:
+    """min sum w r over r >= 0 subject to A diag(e^{i phases}) r = rhs.
 
-    With phases fixed the problem is a plain nonnegative LP over the
-    magnitudes, whose basic solutions are sparse conic points — this
-    extracts a clean atomic solution from a smeared vertex of the
-    cut polyhedron (degenerate optimal faces).
+    With the phase of every coordinate fixed, the weighted l1 problem is a
+    plain LP over the magnitudes r, whose basic solutions are sparse.  With
+    ``slack``, the equalities are elastic: slack columns +-I, each priced at
+    ``slack``, keep the LP feasible.  Returns r; an infeasible LP raises
+    ``InfeasibleCoset`` and any other solver failure ``SolverStall``.
     """
     m, n = A.shape
+    cols = A * np.exp(1j * phases)[None, :]
+    M = np.vstack([cols.real, cols.imag])
+    rhs_r = np.concatenate([rhs.real, rhs.imag])
+    cost = w
+    if slack is not None:
+        eye = np.eye(2 * m)
+        M = np.hstack([M, eye, -eye])
+        cost = np.concatenate([w, np.full(4 * m, slack)])
+    res = solve_lp(cost, None, None, M, rhs_r, [(0, None)] * len(cost))
+    return np.maximum(res.x[:n], 0.0)
+
+
+def _phase_fixed_descent(A: np.ndarray, rhs: np.ndarray, w: np.ndarray,
+                         c0: np.ndarray, passes: int = 3) -> np.ndarray:
+    """Re-solve the magnitude LP with the phases of the current iterate frozen.
+
+    Its basic solutions are sparse conic points, so this extracts a clean
+    atomic solution from a smeared vertex of the cut polyhedron (degenerate
+    optimal faces).
+    """
+    n = A.shape[1]
     c = c0.copy()
     best = c0
     best_val = float(np.sum(w * np.abs(c0)))
@@ -347,15 +376,10 @@ def _phase_fixed_descent(A: np.ndarray, rhs: np.ndarray, w: np.ndarray,
         if len(idx) == 0:
             break
         phases = np.angle(c[idx])
-        cols = A[:, idx] * np.exp(1j * phases)[None, :]
-        M = np.vstack([cols.real, cols.imag])
-        rhs_r = np.concatenate([rhs.real, rhs.imag])
         try:
-            res = solve_lp(w[idx], None, None, M, rhs_r,
-                           [(0, None)] * len(idx))
+            r = _magnitude_lp(A[:, idx], rhs, w[idx], phases)
         except (InfeasibleCoset, SolverStall):
             break
-        r = np.maximum(res.x, 0.0)
         c_new = np.zeros(n, dtype=complex)
         c_new[idx] = r * np.exp(1j * phases)
         val = float(np.sum(w * np.abs(c_new)))
@@ -370,7 +394,7 @@ def _phase_fixed_descent(A: np.ndarray, rhs: np.ndarray, w: np.ndarray,
 
 def _phase_hint_solution(A: np.ndarray, rhs: np.ndarray, w: np.ndarray,
                          hints: np.ndarray) -> np.ndarray | None:
-    """Nonnegative LP over magnitudes with externally supplied phases.
+    """The magnitude LP at externally supplied phases.
 
     Complementary slackness pins the optimal phase of every coordinate to
     the dual solution, so solving min sum w r at those phases recovers a
@@ -380,25 +404,17 @@ def _phase_hint_solution(A: np.ndarray, rhs: np.ndarray, w: np.ndarray,
     with elastic equalities (slacks priced at 1e6 max(w)), and the point is
     projected onto Ac = rhs, so it is ranked by a value it really has.
     """
-    m, n = A.shape
-    cols = A * np.exp(1j * hints)[None, :]
-    M = np.vstack([cols.real, cols.imag])
-    rhs_r = np.concatenate([rhs.real, rhs.imag])
     try:
-        res = solve_lp(w, None, None, M, rhs_r, [(0, None)] * n)
-        return np.maximum(res.x, 0.0) * np.exp(1j * hints)
+        return _magnitude_lp(A, rhs, w, hints) * np.exp(1j * hints)
     except InfeasibleCoset:
         pass
     except SolverStall:
         return None
-    eye = np.eye(2 * m)
-    cost = np.concatenate([w, np.full(4 * m, 1e6 * float(np.max(w)))])
     try:
-        res = solve_lp(cost, None, None, np.hstack([M, eye, -eye]), rhs_r,
-                       [(0, None)] * (n + 4 * m))
+        r = _magnitude_lp(A, rhs, w, hints, slack=1e6 * float(np.max(w)))
     except SolverStall:
         return None
-    return _project(A, rhs, np.maximum(res.x[:n], 0.0) * np.exp(1j * hints))
+    return _project(A, rhs, r * np.exp(1j * hints))
 
 
 def _project(A: np.ndarray, rhs: np.ndarray, c: np.ndarray) -> np.ndarray:
@@ -414,16 +430,26 @@ def _project(A: np.ndarray, rhs: np.ndarray, c: np.ndarray) -> np.ndarray:
 
 def min_weighted_l1(A: np.ndarray, rhs: np.ndarray, weights=None, *,
                     gap_tol: float = 1e-11, max_rounds: int = 8,
-                    phase_hints: np.ndarray | None = None):
+                    phase_hints: np.ndarray | None = None, lower: float = 0.0):
     """Minimize sum_k w_k |c_k| over complex c subject to A c = rhs.
 
-    Returns (c, lp_lower, evaluated_upper, rounds).  lp_lower is a valid
-    lower bound for the minimum (the cuts under-approximate each modulus);
-    evaluated_upper = sum w|c| of the returned feasible point is a valid
-    upper bound.  A short cut loop localizes the solution; phase-fixed,
-    phase-hinted (from a dual solution) and IRLS polish passes sharpen it;
-    a final projection repairs the solver's equality residual so the upper
-    bound comes from an exactly feasible point.
+    Returns (c, lp_lower, evaluated_upper, rounds).  evaluated_upper =
+    sum w|c| of the returned point is a valid upper bound: every returned
+    point is projected onto Ac = rhs, which repairs the solver's equality
+    residual.  ``lower`` is a lower bound on the minimum that the caller
+    has already certified (a dual bound); 0.0 is the trivial one.  A zero
+    ``rhs`` returns c = 0 at once.
+
+    With ``phase_hints`` (the phases of a dual solution), the hinted
+    magnitude LP and its IRLS polish run first.  If the better of the two
+    projected points has a value within ``gap_tol * max(1, value)`` of
+    ``lower``, it is returned with ``rounds == 0`` and ``lp_lower`` is the
+    caller's ``lower``; no cut LP is built.  Otherwise, and without hints,
+    a Kelley cut loop runs for at most ``max_rounds`` rounds: each round's
+    vertex, its phase-fixed and IRLS polishes, and in round 1 the unprojected
+    hinted point are candidates, ranked by their value before projection,
+    and ``lp_lower`` is the last cut LP's optimum (the cuts under-approximate
+    each modulus).
     """
     A = np.asarray(A, dtype=complex)
     rhs = np.asarray(rhs, dtype=complex)
@@ -432,6 +458,19 @@ def min_weighted_l1(A: np.ndarray, rhs: np.ndarray, weights=None, *,
 
     if not np.any(rhs):
         return np.zeros(n, dtype=complex), 0.0, 0.0, 0
+
+    # dual first: the hinted point or its IRLS polish, projected, may
+    # already meet the caller's certified lower bound
+    hinted = None
+    if phase_hints is not None:
+        hinted = _phase_hint_solution(A, rhs, w, phase_hints)
+        if hinted is not None:
+            points = [_project(A, rhs, c) for c in
+                      (hinted, _irls_polish(A, rhs, w, hinted, iters=25))]
+            values = [float(np.sum(w * np.abs(c))) for c in points]
+            k = int(np.argmin(values))
+            if values[k] - lower <= gap_tol * max(1.0, values[k]):
+                return points[k], lower, values[k], 0
 
     # variables: [x (n), y (n), t (n)]
     A_eq = np.zeros((2 * m, 3 * n))
@@ -455,10 +494,8 @@ def min_weighted_l1(A: np.ndarray, rhs: np.ndarray, weights=None, *,
         lp_lower = float(res.fun)
         cands = [c, _phase_fixed_descent(A, rhs, w, c),
                  _irls_polish(A, rhs, w, c, iters=25)]
-        if phase_hints is not None and rounds == 1:
-            hinted = _phase_hint_solution(A, rhs, w, phase_hints)
-            if hinted is not None:
-                cands.append(hinted)
+        if hinted is not None and rounds == 1:
+            cands.append(hinted)
         for cand in cands:
             upper = float(np.sum(w * np.abs(cand)))
             if upper < best_upper:

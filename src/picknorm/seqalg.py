@@ -189,7 +189,8 @@ def np_norm_analytic_wiener(lambdas, targets, tolerance: float = 1e-9) -> NormRe
         A = lam[:, None] ** cols[None, :]
         g_cols = (lam[None, :] ** cols[:, None]) @ b
         c, _, ub, _ = _lp.min_weighted_l1(A, a, gap_tol=_gap_tol(tolerance),
-                                          phase_hints=-np.angle(g_cols))
+                                          phase_hints=-np.angle(g_cols),
+                                          lower=lower)
         upper_history.append(ub)
         if ub < best_upper:
             best_upper = ub
@@ -305,7 +306,7 @@ def np_norm_wiener(thetas, targets, tolerance: float = 1e-9) -> NormResult:
             rounds += 1
             c_try, _, up_try, _ = _lp.min_weighted_l1(
                 A, a, gap_tol=_gap_tol(tolerance), max_rounds=lp_rounds,
-                phase_hints=hints)
+                phase_hints=hints, lower=lower)
             if up_try < upper:
                 upper, c = up_try, c_try
             if upper - lower <= tolerance:
@@ -343,7 +344,7 @@ def np_norm_wiener(thetas, targets, tolerance: float = 1e-9) -> NormResult:
             hints = -np.angle(g)
 
         c, _, ub, _ = _lp.min_weighted_l1(A, a, gap_tol=_gap_tol(tolerance),
-                                          phase_hints=hints)
+                                          phase_hints=hints, lower=floor)
         best_upper = min(best_upper, ub)
 
         # give up when the per-doubling progress cannot close the remaining
@@ -605,7 +606,7 @@ def np_norm_l1_torus(ks, targets, tolerance: float = 1e-9) -> NormResult:
         hints = np.angle(np.exp(1j * np.outer(cands, ks)) @ b)
         w, _, upper, _ = _lp.min_weighted_l1(A, a, gap_tol=_gap_tol(tolerance),
                                              max_rounds=lp_rounds,
-                                             phase_hints=hints)
+                                             phase_hints=hints, lower=lower)
         if upper < best_upper:
             best_upper = upper
             keep = np.abs(w) > 1e-9 * max(1.0, upper)

@@ -208,6 +208,63 @@ def test_model_takes_only_appended_rows(monkeypatch):
         _lp.solve_lp(c, [[1.0, 0.0]], [0.25], None, None, bounds, model=model)
 
 
+def _torus_grid_problem():
+    """min sum |c| over atoms on a 512-point grid with Fourier coefficients
+    (1, 1, -1) at k = 0, 1, 2, and the phases of its optimal dual polynomial
+    q(t) = -i e^{it}(i + sin t)/sqrt(2); the minimum is sqrt(2), attained
+    by weights (1 +- i)/2 at +-pi/2 (tests/test_seqalg.py derives it)."""
+    ks = np.arange(3)
+    theta = (2 * np.pi / 512) * np.arange(512)
+    A = np.exp(-1j * np.outer(ks, theta))
+    q = -1j * np.exp(1j * theta) * (1j + np.sin(theta)) / np.sqrt(2.0)
+    return A, np.array([1.0, 1.0, -1.0], dtype=complex), np.angle(q)
+
+
+def _counting_solve_lp(monkeypatch) -> list:
+    calls = []
+    solve = _lp.solve_lp
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return solve(*args, **kwargs)
+
+    monkeypatch.setattr(_lp, "solve_lp", counted)
+    return calls
+
+
+@pytest.mark.parametrize("fallback", [False, True])
+def test_certified_lower_skips_the_cut_loop(monkeypatch, fallback):
+    if fallback:
+        monkeypatch.setattr(_lp, "_highs_wrapper", None)
+    A, rhs, hints = _torus_grid_problem()
+    lower, gap_tol = np.sqrt(2.0), 1e-10
+    calls = _counting_solve_lp(monkeypatch)
+    c, lp_lower, upper, rounds = _lp.min_weighted_l1(
+        A, rhs, gap_tol=gap_tol, phase_hints=hints, lower=lower)
+    # one hinted magnitude LP, no CutLP
+    assert rounds == 0
+    assert len(calls) == 1
+    assert lp_lower == lower
+    assert upper == float(np.sum(np.abs(c)))
+    assert upper - lower <= gap_tol * max(1.0, upper)
+    assert np.max(np.abs(A @ c - rhs)) <= 1e-13
+
+
+@pytest.mark.parametrize("fallback", [False, True])
+def test_open_gap_runs_the_cut_loop_unchanged(monkeypatch, fallback):
+    if fallback:
+        monkeypatch.setattr(_lp, "_highs_wrapper", None)
+    A, rhs, hints = _torus_grid_problem()
+    gap_tol = 1e-10
+    # a lower end 1e-6 under the hinted value leaves the gap open
+    c, *rest = _lp.min_weighted_l1(A, rhs, gap_tol=gap_tol, phase_hints=hints,
+                                   lower=np.sqrt(2.0) - 1e-6)
+    c0, *rest0 = _lp.min_weighted_l1(A, rhs, gap_tol=gap_tol, phase_hints=hints)
+    assert rest[2] >= 1
+    assert rest == rest0
+    assert c.tobytes() == c0.tobytes()
+
+
 def test_infeasible_phase_hints_give_a_projected_point():
     # at phase pi/2 both columns are i, so i r0 + i r1 = 1 has no solution
     # r >= 0; the elastic re-solve keeps r = 0 and the projection repairs it

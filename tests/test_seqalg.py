@@ -179,6 +179,34 @@ def test_wiener_incommensurate_stall_carries_bracket():
     assert partial.upper >= partial.lower
 
 
+@pytest.mark.parametrize("thetas, targets", [
+    ([1.0471975511965976, 0.0, 4.1887902047863905],
+     [0.3613650302548736-0.7315595624262275j, -0.1315711747323117-2.3185513829559166j,
+      0.20064336639029523-0.10444041375613672j]),
+    ([3.5903916041026207, 0.0, 0.8975979010256552],
+     [-1.1842481132088718-0.04128358765040887j, -0.36725000773344507+1.8460946371512454j,
+      1.000798338716352-1.329202331472151j]),
+    ([0.0, 2.8559933214452666, 4.569589314312426],
+     [-0.23747604142299694-0.22185384336597075j, -0.0957328861847244-0.07341154719858078j,
+      0.4988605040918113+0.8592918422354456j]),
+    ([5.026548245743669, 3.7699111843077517],
+     [-0.9100516671258233-1.016440266548483j, -0.8765678002584181-0.4468668444338911j]),
+])
+def test_wiener_period_draws_close(thetas, targets):
+    # commensurate draws whose period reduction stalled at 1e-9 on one BLAS
+    # thread when only the cut loop's candidates were ranked; the hinted,
+    # projected point meets the dual bound (the benchmark's tight_seq
+    # draws 184, 215, 264 and 355 at seed 1)
+    r = np_norm_wiener(thetas, targets, 1e-9)
+    assert r.upper - r.lower <= 1e-9
+    payload = r.certificate["dual"]
+    meta = dict(payload["meta"], targets=[complex(*z) for z in payload["meta"]["targets"]])
+    cert = DualCertificate(tuple(complex(*z) for z in payload["b"]),
+                           payload["certified_sup"], payload["bound"], meta)
+    floor = max(abs(complex(a)) for a in targets)
+    assert max(floor, dual_certificate_check(cert)) >= r.lower - 1e-12
+
+
 # ----------------------------------------------------------------------
 # integrable functions with pinned coefficients
 # ----------------------------------------------------------------------
