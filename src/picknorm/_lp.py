@@ -9,22 +9,24 @@ current iterate (Kelley's cutting-plane method), which reaches 1e-10 gaps
 with a few dozen half-planes where a uniform polygon would need thousands.
 
 ``CutLP`` is the one engine that builds and solves these cut LPs; every cut
-loop here and in the finite backends is a specification on it.  Its first
-solve builds every row in a fixed order (bounded maps, then epigraph maps,
-each map by map and phase by phase, then the caller's rows) and keeps the
-HiGHS model it solved.  Each later solve appends only the rows added since,
-and HiGHS restarts dual simplex from the previous optimal basis without
-presolve (Huangfu & Hall 2018, "Parallelizing the dual revised simplex
-method", Math. Prog. Comp. 10).  The optimal value does not depend on that
-history, but the vertex HiGHS returns does: it depends on the row order, the
-basis it starts from and every coefficient's bits.
+loop here and in the finite backends is a specification on it.  Its bounded
+maps arrive as row blocks, one map per row, and live in one 2-D array.  Its
+first solve builds every row in a fixed order (bounded maps, then epigraph
+maps, each map by map and phase by phase, then the caller's rows) and keeps
+the HiGHS model it solved.  Each later solve appends only the rows added
+since, and HiGHS restarts dual simplex from the previous optimal basis
+without presolve (Huangfu & Hall 2018, "Parallelizing the dual revised
+simplex method", Math. Prog. Comp. 10).  The optimal value does not depend
+on that history, but the vertex HiGHS returns does: it depends on the row
+order, the basis it starts from and every coefficient's bits.
 
 The primal ``min_weighted_l1`` is dual first.  Given the phases of a dual
 solution, it first solves ``_magnitude_lp``, the LP over the magnitudes at
 those phases, and polishes that point by IRLS.  When the caller's certified
 lower bound already meets the better of the two, projected onto the
 constraints, it returns at once (``rounds == 0``); only an open gap runs
-the cut loop.
+the cut loop, for at most 8 rounds.  Callers vary only the gap target, the
+hints and the certified lower end; every other knob is a constant here.
 
 Every bound reported upward is certified by direct evaluation of the
 returned vectors, never by trusting the solver's objective value alone.
@@ -190,11 +192,12 @@ class CutLP:
     caller's extra columns], with cost, bounds and the extra rows ``A_ub``
     and equalities ``A_eq`` given by the caller.  Epigraph map j is
     L_j(u) = M_j u + off_j (with ``M`` None, L_j(u) = u_j) and carries
-    t_j >= |L_j(u)|; a bounded map L(u) = B u, added by ``add_bounded``,
-    carries |L(u)| <= 1.  Each map is replaced by the cuts
-    Re(e^{-i phi} L(u)) <= t_j (or 1) at the phases phi of its own phase
-    set, which starts as ``cuts`` equally spaced phases and grows by
-    ``add_cuts``.
+    t_j >= |L_j(u)|; a bounded map L(u) = B u carries |L(u)| <= 1.  Bounded
+    maps arrive as blocks through ``add_bounded``, one map per row, and are
+    kept in one array, ``bounded``, in the order they were added.  Each map
+    is replaced by the cuts Re(e^{-i phi} L(u)) <= t_j (or 1) at the phases
+    phi of its own phase set, which starts as ``cuts`` equally spaced phases
+    and grows by ``add_cuts``.
 
     The first ``solve`` builds every row map by map and keeps the solved
     HiGHS model; each later one appends the rows of the phases (and bounded
@@ -212,18 +215,21 @@ class CutLP:
         self.d = d
         self.M = M
         self.off = off
-        self.bounded: list[np.ndarray] = []
+        self.bounded = np.zeros((0, d), dtype=complex)
         self.phases0 = np.arange(cuts) * (2 * np.pi / cuts)
         self.phases = [self.phases0] * (d if M is None else len(M))
         self.lp = (cost, A_ub, b_ub, A_eq, b_eq, bounds)
         self.model = None  # the live HiGHS model, after the first solve
         self.sent = [0] * len(self.phases)  # phases of each map in the model
 
-    def add_bounded(self, row) -> None:
-        """Add the map L(u) = row . u with |L(u)| <= 1, after the earlier ones."""
-        self.phases.insert(len(self.bounded), self.phases0)
-        self.sent.insert(len(self.bounded), 0)
-        self.bounded.append(np.asarray(row, dtype=complex))
+    def add_bounded(self, rows) -> None:
+        """Add the maps L(u) = row . u with |L(u)| <= 1, one per row of the
+        2-D block ``rows``, after the earlier ones."""
+        rows = np.asarray(rows, dtype=complex).reshape(-1, self.d)
+        nb = len(self.bounded)
+        self.phases[nb:nb] = [self.phases0] * len(rows)
+        self.sent[nb:nb] = [0] * len(rows)
+        self.bounded = np.vstack([self.bounded, rows])
 
     def values(self, u: np.ndarray) -> np.ndarray:
         """L(u) for every map, bounded maps first.
@@ -234,9 +240,9 @@ class CutLP:
         x = u if self.M is None else self.M @ u
         if self.off is not None:
             x = self.off + x
-        if not self.bounded:
+        if not len(self.bounded):
             return x
-        return np.concatenate([(np.asarray(self.bounded)[:, None, :] @ u)[:, 0], x])
+        return np.concatenate([(self.bounded[:, None, :] @ u)[:, 0], x])
 
     def add_cuts(self, mask: np.ndarray, values: np.ndarray) -> bool:
         """Cut map j at angle(values[j]) wherever ``mask[j]`` holds and no
@@ -278,7 +284,7 @@ class CutLP:
         epi = ks >= nb
         # maps with a coefficient row: the bounded ones and those of M
         dense = ~epi if self.M is None else np.ones(len(ks), dtype=bool)
-        D = np.asarray(self.bounded).reshape(nb, d)
+        D = self.bounded
         if self.M is not None:
             D = np.vstack([D, self.M])
         coef = e[dense, None] * D[ks[dense]]
@@ -305,18 +311,18 @@ class CutLP:
 
 
 def _irls_polish(A: np.ndarray, rhs: np.ndarray, w: np.ndarray,
-                 c0: np.ndarray, iters: int = 40) -> np.ndarray:
+                 c0: np.ndarray) -> np.ndarray:
     """Iteratively reweighted least-norm descent for min sum w|c|, Ac = rhs.
 
-    Each step solves min sum w_k |c_k|^2 / d_k over the affine set with
-    d = |c| of the previous iterate (closed form through a small m x m
-    system); started from an LP vertex it sharpens the last few digits that
-    tangent cuts leave behind.
+    Each of at most 25 steps solves min sum w_k |c_k|^2 / d_k over the
+    affine set with d = |c| of the previous iterate (closed form through a
+    small m x m system); started from an LP vertex it sharpens the last few
+    digits that tangent cuts leave behind.
     """
     c = c0.copy()
     best = c0
     best_val = float(np.sum(w * np.abs(c0)))
-    for _ in range(iters):
+    for _ in range(25):
         d = np.maximum(np.abs(c), 1e-14)
         scale = d / w
         gram = (A * scale[None, :]) @ A.conj().T
@@ -359,8 +365,9 @@ def _magnitude_lp(A: np.ndarray, rhs: np.ndarray, w: np.ndarray,
 
 
 def _phase_fixed_descent(A: np.ndarray, rhs: np.ndarray, w: np.ndarray,
-                         c0: np.ndarray, passes: int = 3) -> np.ndarray:
-    """Re-solve the magnitude LP with the phases of the current iterate frozen.
+                         c0: np.ndarray) -> np.ndarray:
+    """Re-solve the magnitude LP with the phases of the current iterate
+    frozen, at most three times.
 
     Its basic solutions are sparse conic points, so this extracts a clean
     atomic solution from a smeared vertex of the cut polyhedron (degenerate
@@ -370,7 +377,7 @@ def _phase_fixed_descent(A: np.ndarray, rhs: np.ndarray, w: np.ndarray,
     c = c0.copy()
     best = c0
     best_val = float(np.sum(w * np.abs(c0)))
-    for _ in range(passes):
+    for _ in range(3):
         scale = max(1e-300, float(np.max(np.abs(c))))
         idx = np.nonzero(np.abs(c) > 1e-12 * scale)[0]
         if len(idx) == 0:
@@ -428,13 +435,12 @@ def _project(A: np.ndarray, rhs: np.ndarray, c: np.ndarray) -> np.ndarray:
         return c + np.linalg.lstsq(A, resid, rcond=None)[0]
 
 
-def min_weighted_l1(A: np.ndarray, rhs: np.ndarray, weights=None, *,
-                    gap_tol: float = 1e-11, max_rounds: int = 8,
+def min_weighted_l1(A: np.ndarray, rhs: np.ndarray, *, gap_tol: float = 1e-11,
                     phase_hints: np.ndarray | None = None, lower: float = 0.0):
-    """Minimize sum_k w_k |c_k| over complex c subject to A c = rhs.
+    """Minimize sum_k |c_k| over complex c subject to A c = rhs.
 
     Returns (c, lp_lower, evaluated_upper, rounds).  evaluated_upper =
-    sum w|c| of the returned point is a valid upper bound: every returned
+    sum |c| of the returned point is a valid upper bound: every returned
     point is projected onto Ac = rhs, which repairs the solver's equality
     residual.  ``lower`` is a lower bound on the minimum that the caller
     has already certified (a dual bound); 0.0 is the trivial one.  A zero
@@ -445,7 +451,7 @@ def min_weighted_l1(A: np.ndarray, rhs: np.ndarray, weights=None, *,
     projected points has a value within ``gap_tol * max(1, value)`` of
     ``lower``, it is returned with ``rounds == 0`` and ``lp_lower`` is the
     caller's ``lower``; no cut LP is built.  Otherwise, and without hints,
-    a Kelley cut loop runs for at most ``max_rounds`` rounds: each round's
+    a Kelley cut loop runs for at most 8 rounds: each round's
     vertex, its phase-fixed and IRLS polishes, and in round 1 the unprojected
     hinted point are candidates, ranked by their value before projection,
     and ``lp_lower`` is the last cut LP's optimum (the cuts under-approximate
@@ -454,7 +460,7 @@ def min_weighted_l1(A: np.ndarray, rhs: np.ndarray, weights=None, *,
     A = np.asarray(A, dtype=complex)
     rhs = np.asarray(rhs, dtype=complex)
     m, n = A.shape
-    w = np.ones(n) if weights is None else np.asarray(weights, dtype=float)
+    w = np.ones(n)
 
     if not np.any(rhs):
         return np.zeros(n, dtype=complex), 0.0, 0.0, 0
@@ -466,7 +472,7 @@ def min_weighted_l1(A: np.ndarray, rhs: np.ndarray, weights=None, *,
         hinted = _phase_hint_solution(A, rhs, w, phase_hints)
         if hinted is not None:
             points = [_project(A, rhs, c) for c in
-                      (hinted, _irls_polish(A, rhs, w, hinted, iters=25))]
+                      (hinted, _irls_polish(A, rhs, w, hinted))]
             values = [float(np.sum(w * np.abs(c))) for c in points]
             k = int(np.argmin(values))
             if values[k] - lower <= gap_tol * max(1.0, values[k]):
@@ -489,11 +495,11 @@ def min_weighted_l1(A: np.ndarray, rhs: np.ndarray, weights=None, *,
     prev_upper = np.inf
     stagnant = 0
     rounds = 0
-    for rounds in range(1, max_rounds + 1):
+    for rounds in range(1, 9):
         c, res = cut.solve()
         lp_lower = float(res.fun)
         cands = [c, _phase_fixed_descent(A, rhs, w, c),
-                 _irls_polish(A, rhs, w, c, iters=25)]
+                 _irls_polish(A, rhs, w, c)]
         if hinted is not None and rounds == 1:
             cands.append(hinted)
         for cand in cands:
@@ -530,15 +536,17 @@ def min_weighted_l1(A: np.ndarray, rhs: np.ndarray, weights=None, *,
 class ModulusConstrainedMax:
     """Maximize Re(sum_i obj_i b_i) over complex b with |L_j(b)| <= 1.
 
-    Constraint rows L_j are complex vectors; the row set can grow between
-    solves (semi-infinite constraints add their violated indices through a
-    row oracle).  The pairing is bilinear (no conjugation); callers wanting
-    Re sum conj(b)a pass obj = conj(a).  An optional weighted absolute-sum
-    constraint sum_i d_i |b_i| <= 1 (geometric tails) is carried via
-    epigraph variables u_i >= |b_i|.
+    Constraint rows L_j are complex vectors, added as 2-D blocks by
+    ``add_rows`` and kept in the one array ``cut.bounded``; the row set can
+    grow between solves (semi-infinite constraints add their violated
+    indices through a row oracle).  The pairing is bilinear (no
+    conjugation); callers wanting Re sum conj(b)a pass obj = conj(a).  An
+    optional weighted absolute-sum constraint sum_i d_i |b_i| <= 1
+    (geometric tails) is carried via epigraph variables u_i >= |b_i|.
 
     The cut LP over [Re b, Im b, u] only localizes the maximizer; an SLSQP
-    polish on the smooth problem then sharpens it.
+    polish on the smooth problem then sharpens it, for at most 600 rows.
+    Callers vary only the tolerance, the row oracle and whether to polish.
     """
 
     def __init__(self, obj: np.ndarray, abs_row: np.ndarray | None = None):
@@ -551,16 +559,16 @@ class ModulusConstrainedMax:
         self.cut = CutLP(n, np.concatenate([-self.obj.real, self.obj.imag, np.zeros(n)]),
                          [(None, None)] * (2 * n) + [(0, None)] * n, cuts=8,
                          A_ub=tail, b_ub=None if tail is None else np.ones(1))
-        self.rows = self.cut.bounded
 
-    def add_row(self, row) -> None:
-        self.cut.add_bounded(row)
+    def add_rows(self, rows) -> None:
+        """Add the constraints |L_j(b)| <= 1, one per row of the 2-D block."""
+        self.cut.add_bounded(rows)
 
     def _refine(self, b: np.ndarray, u: np.ndarray, tol: float) -> float:
         """Add cuts at the phases of violated rows/epigraphs; return worst violation."""
         v = self.cut.values(b)
         mags = np.hypot(v.real, v.imag)
-        nr = len(self.rows)
+        nr = len(self.cut.bounded)
         over = np.concatenate([mags[:nr] - 1.0 > tol / 4, mags[nr:] > u + tol / 4])
         self.cut.add_cuts(over & (mags > 0), v)
         worst = float(np.max(mags[:nr] - 1.0, initial=0.0))
@@ -570,8 +578,8 @@ class ModulusConstrainedMax:
 
     def _worst_violation(self, b: np.ndarray) -> float:
         worst = 0.0
-        if self.rows:
-            worst = float(np.max(np.abs(np.asarray(self.rows) @ b)) - 1.0)
+        if len(self.cut.bounded):
+            worst = float(np.max(np.abs(self.cut.bounded @ b)) - 1.0)
         if self.abs_row is not None:
             worst = max(worst, float(np.dot(self.abs_row, np.abs(b)) - 1.0))
         return worst
@@ -583,7 +591,7 @@ class ModulusConstrainedMax:
         from scipy.optimize import minimize
 
         n = self.n
-        L = np.asarray(self.rows)
+        L = self.cut.bounded
         Lr, Li = L.real, L.imag
         d = self.abs_row
 
@@ -638,34 +646,34 @@ class ModulusConstrainedMax:
             return self.objective(bb) / ex
         return b if score(b) >= score(b0) else b0
 
-    def solve(self, max_rounds: int = 30, tol: float = 1e-11,
-              row_oracle=None, polish: bool = True) -> np.ndarray:
+    def solve(self, tol: float = 1e-11, row_oracle=None,
+              polish: bool = True) -> np.ndarray:
         """Cut loop to localize the active set, then smooth polish.
 
-        ``row_oracle(b)``, when given, is consulted only between converged
-        passes: it may return additional constraint rows (semi-infinite
-        index sets: violated angles found by a grid scan), which trigger
-        another pass.
+        Each pass runs at most 30 cut rounds.  ``row_oracle(b)``, when
+        given, is consulted only between converged passes: it may return a
+        block of additional constraint rows (semi-infinite index sets:
+        violated angles found by a grid scan), which are added in one call
+        and trigger another pass; at most six passes run.
         """
         # the LP loop only localizes the active geometry when a smooth
         # polish follows, so its exit tolerance can stay coarse
         loop_tol = max(tol, 1e-3) if polish else tol
         b = np.zeros(self.n, dtype=complex)
         for outer in range(6):
-            for _ in range(max_rounds):
+            for _ in range(30):
                 b, res = self.cut.solve()
                 worst = self._refine(b, res.x[2 * self.n:], loop_tol)
                 if worst <= loop_tol:
                     break
-            if polish and self.rows and len(self.rows) <= 600:
+            if polish and 0 < len(self.cut.bounded) <= 600:
                 b = self._polish(b)
             if row_oracle is None:
                 break
             new_rows = row_oracle(b)
-            if not new_rows:
+            if not len(new_rows):
                 break
-            for row in new_rows:
-                self.add_row(row)
+            self.add_rows(new_rows)
         return b
 
     def objective(self, b: np.ndarray) -> float:

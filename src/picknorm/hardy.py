@@ -129,15 +129,16 @@ def np_norm_hardy(lambdas, zs, tolerance: float = 1e-9) -> NormResult:
         if not lo < mid < hi:
             break
         iterations += 1
-        if is_feasible(lam, z, mid).feasible:
-            hi = mid
+        at_mid = is_feasible(lam, z, mid)
+        if at_mid.feasible:
+            hi, verdict = mid, at_mid
         else:
             lo = mid
 
     cert = {
         "method": "pick_bisection",
         "feasible_level": hi,
-        "min_eigenvalue_at_upper": is_feasible(lam, z, hi).min_eigenvalue,
+        "min_eigenvalue_at_upper": verdict.min_eigenvalue,
     }
     return make_result(lo, hi, zmax, cert, iterations, tolerance,
                        note="bisection reached adjacent doubles")

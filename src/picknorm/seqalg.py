@@ -42,6 +42,7 @@ from .core import (
 )
 
 _MAX_DEGREE = 4096
+_MAX_PERIOD = 4096
 _MAX_CERT_GRID = 2 ** 25
 _CHUNK = 2 ** 20
 
@@ -49,6 +50,11 @@ _CHUNK = 2 ** 20
 def _gap_tol(tolerance: float) -> float:
     """LP primal gap target: an eighth of the bracket tolerance, clamped."""
     return min(max(tolerance / 8.0, 1e-12), 1e-3)
+
+
+def _dual_tol(tolerance: float) -> float:
+    """Dual cut-loop tolerance: a quarter of the bracket tolerance, clamped."""
+    return max(min(tolerance / 4.0, 1e-2), 1e-12)
 
 
 @dataclass(frozen=True)
@@ -160,11 +166,8 @@ def np_norm_analytic_wiener(lambdas, targets, tolerance: float = 1e-9) -> NormRe
         # dual solve over the current window, tail constrained
         tail_row = np.abs(lam) ** (window + 1)
         mcm = _lp.ModulusConstrainedMax(a, abs_row=tail_row)
-        ks = np.arange(window + 1)
-        rows = lam[None, :] ** ks[:, None]
-        for row in rows:
-            mcm.add_row(row)
-        b = mcm.solve(tol=max(min(tolerance / 4.0, 1e-2), 1e-12),
+        mcm.add_rows(lam[None, :] ** np.arange(window + 1)[:, None])
+        b = mcm.solve(tol=_dual_tol(tolerance),
                       polish=tolerance < 5e-3 or rounds > 1)
         cand = analytic_wiener_certificate(lam, a, b,
                                            window=max(2 * window, 128))
@@ -222,10 +225,10 @@ def np_norm_analytic_wiener(lambdas, targets, tolerance: float = 1e-9) -> NormRe
 # two-sided coefficient algebra on the circle
 # --------------------------------------------------------------------------
 
-def common_period(thetas, qmax: int = 4096) -> int | None:
-    """Smallest q <= qmax with every angle an integer multiple of 2*pi/q."""
+def common_period(thetas) -> int | None:
+    """Smallest q <= 4096 with every angle an integer multiple of 2*pi/q."""
     th = np.asarray(thetas, dtype=float).ravel()
-    x = th * np.arange(1, qmax + 1)[:, None] / (2 * np.pi)  # row q-1: th * q
+    x = th * np.arange(1, _MAX_PERIOD + 1)[:, None] / (2 * np.pi)  # row q-1: th * q
     hit = np.all(np.abs(x - np.round(x)) <= 1e-9, axis=1)
     return int(np.argmax(hit)) + 1 if hit.any() else None
 
@@ -266,7 +269,9 @@ def np_norm_wiener(thetas, targets, tolerance: float = 1e-9) -> NormResult:
 
     Angles commensurate with 2*pi reduce the problem exactly to one complex
     coefficient per residue class modulo the common period, making both
-    sides finite and fully certified.  Incommensurate angles keep a
+    sides finite and fully certified: one dual solve over the q residue
+    rows, then one primal ``min_weighted_l1`` call (at most 8 cut rounds),
+    so such a bracket reports one iteration.  Incommensurate angles keep a
     truncated primal; the certified lower bound falls back to the sup floor
     and the (window-limited) dual value is reported as a diagnostic only.
     A bracket that does not close (the period reduction's primal LP stops
@@ -291,33 +296,20 @@ def np_norm_wiener(thetas, targets, tolerance: float = 1e-9) -> NormResult:
         p = np.round(th * q / (2 * np.pi)).astype(int) % q
         A = omega ** np.outer(p, np.arange(q))
         mcm = _lp.ModulusConstrainedMax(a)
-        for r in range(q):
-            mcm.add_row(omega ** (r * p))
-        b = mcm.solve(tol=max(min(tolerance / 4.0, 1e-2), 1e-12),
-                      polish=tolerance < 5e-3)
+        mcm.add_rows(A.T)  # row r: omega^(r p_i)
+        b = mcm.solve(tol=_dual_tol(tolerance), polish=tolerance < 5e-3)
         cert = wiener_certificate(th, a, b, period=q)
         lower = max(floor, cert.bound)
-
-        upper = math.inf
-        c = None
-        rounds = 0
-        hints = -np.angle(A.T @ b)
-        for lp_rounds in (8, 50):
-            rounds += 1
-            c_try, _, up_try, _ = _lp.min_weighted_l1(
-                A, a, gap_tol=_gap_tol(tolerance), max_rounds=lp_rounds,
-                phase_hints=hints, lower=lower)
-            if up_try < upper:
-                upper, c = up_try, c_try
-            if upper - lower <= tolerance:
-                break
+        c, _, upper, _ = _lp.min_weighted_l1(A, a, gap_tol=_gap_tol(tolerance),
+                                             phase_hints=-np.angle(A.T @ b),
+                                             lower=lower)
         certificate = {
             "method": "wiener_l1_residues",
             "period": q,
             "dual": _cert_payload(cert),
             "residue_coefficients": _complex_list(c),
         }
-        return make_result(lower, upper, floor, certificate, rounds, tolerance,
+        return make_result(lower, upper, floor, certificate, 1, tolerance,
                            note=f"period-{q} reduction: the primal LP stopped "
                            "short of the dual bound")
 
@@ -336,8 +328,7 @@ def np_norm_wiener(thetas, targets, tolerance: float = 1e-9) -> NormResult:
         hints = None
         if K <= 128:  # the window dual is diagnostic only; skip it deep in
             mcm = _lp.ModulusConstrainedMax(a)
-            for k in range(-K, K + 1):
-                mcm.add_row(np.exp(1j * k * th))
+            mcm.add_rows(np.exp((1j * ks)[:, None] * th))
             b = mcm.solve()
             diag = wiener_certificate(th, a, b, period=None, window=2 * K)
             g = np.exp(1j * np.outer(ks, th)) @ b
@@ -555,8 +546,7 @@ def np_norm_l1_torus(ks, targets, tolerance: float = 1e-9) -> NormResult:
     min_sep = max(1, fine // (8 * (span + 1)))
     mcm = _lp.ModulusConstrainedMax(np.conj(a))
     tracked = list((2 * np.pi / n_init) * np.arange(n_init))
-    for t0 in tracked:
-        mcm.add_row(np.exp(1j * ks * t0))
+    mcm.add_rows(np.exp(1j * ks * np.asarray(tracked)[:, None]))
 
     def angle_oracle(bb: np.ndarray) -> list:
         vals = np.abs(_trig_eval(ks, bb, fine_theta))
@@ -575,8 +565,7 @@ def np_norm_l1_torus(ks, targets, tolerance: float = 1e-9) -> NormResult:
             rows.append(np.exp(1j * ks * t))
         return rows
 
-    dual_tol = max(min(tolerance / 4.0, 1e-2), 1e-12)
-    b = mcm.solve(tol=dual_tol, max_rounds=30, row_oracle=angle_oracle,
+    b = mcm.solve(tol=_dual_tol(tolerance), row_oracle=angle_oracle,
                   polish=not coarse)
 
     best_upper = math.inf
@@ -588,7 +577,6 @@ def np_norm_l1_torus(ks, targets, tolerance: float = 1e-9) -> NormResult:
 
     rounds = 0
     fallback = max(32 if tolerance >= 1e-3 else 64, 2 * span + 8)
-    lp_rounds = 8
     while True:
         rounds += 1
         # atomic primal at the active angles of the dual polynomial
@@ -605,7 +593,6 @@ def np_norm_l1_torus(ks, targets, tolerance: float = 1e-9) -> NormResult:
         A = np.exp(-1j * np.outer(ks, cands))
         hints = np.angle(np.exp(1j * np.outer(cands, ks)) @ b)
         w, _, upper, _ = _lp.min_weighted_l1(A, a, gap_tol=_gap_tol(tolerance),
-                                             max_rounds=lp_rounds,
                                              phase_hints=hints, lower=lower)
         if upper < best_upper:
             best_upper = upper
@@ -628,10 +615,9 @@ def np_norm_l1_torus(ks, targets, tolerance: float = 1e-9) -> NormResult:
                                f"certifying the gap needs a grid of {needed:.3g} "
                                f"points, cap {_MAX_CERT_GRID}")
 
-        # refine: more dual polishing, more primal effort, sharper grid
+        # refine: more dual polishing, more primal atoms, sharper grid
         b = mcm.solve(tol=1e-12, row_oracle=angle_oracle)
         fallback = min(2 * fallback, 512)
-        lp_rounds = 40
         tol_c = max(tolerance / (3 * rounds * rounds), 1e-10)
         cert = l1_torus_certificate(ks, a, b, tolerance=tol_c)
         lower = max(lower, floor, cert.bound)

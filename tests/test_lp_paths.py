@@ -153,15 +153,62 @@ def test_live_model_matches_a_cold_rebuild():
                                     abs_row=np.full(4, 0.1))
     theta = np.linspace(0, 2 * np.pi, 24, endpoint=False)
     rows = np.exp(1j * np.outer(theta, np.arange(4)))
-    for row in rows[:8]:
-        mcm.add_row(row)
+    mcm.add_rows(rows[:8])
     for batch in (rows[8:16], rows[16:]):
         b, res = mcm.cut.solve()
         mcm._refine(b, res.x[8:], 1e-9)
-        for row in batch:
-            mcm.add_row(row)
+        mcm.add_rows(batch)
     b, res = mcm.cut.solve()
     assert res.fun == pytest.approx(_cold_fun(mcm.cut), rel=1e-9)
+
+
+def _next_rows(cut: _lp.CutLP):
+    """The (A, rhs) that cut.solve() sends next: every row for a build, the
+    rows added since the last solve for the live model."""
+    cost, A_ub, b_ub = cut.lp[:3]
+    if cut.model is None:
+        return cut._rows(cut.phases, len(cost), A_ub, b_ub)
+    return cut._rows([ph[s:] for ph, s in zip(cut.phases, cut.sent)], len(cost))
+
+
+@pytest.mark.parametrize("fallback", [False, True])
+def test_bounded_block_matches_rows_added_one_by_one(monkeypatch, fallback):
+    if fallback:
+        monkeypatch.setattr(_lp, "_highs_wrapper", None)
+    rng = np.random.default_rng(11)
+    d = 4
+    theta = np.linspace(0, 2 * np.pi, 20, endpoint=False)
+    rows = np.exp(1j * np.outer(theta, np.arange(d)))
+    obj = rng.standard_normal(d) + 1j * rng.standard_normal(d)
+    tail = np.concatenate([np.zeros(2 * d), np.full(d, 0.1)])[None, :]
+
+    def make():
+        return _lp.CutLP(d, np.concatenate([-obj.real, obj.imag, np.zeros(d)]),
+                         [(None, None)] * (2 * d) + [(0, None)] * d, cuts=8,
+                         A_ub=tail, b_ub=np.ones(1))
+
+    block, single = make(), make()
+    u = rng.standard_normal(d) + 1j * rng.standard_normal(d)
+    for batch in (rows[:8], rows[8:14], rows[14:]):
+        # the first batch goes into a cold build, the later ones are
+        # appended to the live model
+        block.add_bounded(batch)
+        for row in batch:
+            single.add_bounded(row[None, :])
+        assert block.bounded.tobytes() == single.bounded.tobytes()
+        assert block.values(u).tobytes() == single.values(u).tobytes()
+        (Ab, rhs_b), (As, rhs_s) = _next_rows(block), _next_rows(single)
+        for part in ("row", "col", "data"):
+            assert getattr(Ab, part).tobytes() == getattr(As, part).tobytes()
+        assert rhs_b.tobytes() == rhs_s.tobytes()
+        (ub, rb), (us, rs) = block.solve(), single.solve()
+        assert ub.tobytes() == us.tobytes()
+        assert rb.x.tobytes() == rs.x.tobytes() and rb.fun == rs.fun
+        # cut every map at its phase, so the next solve sends new phases too
+        for cut, x in ((block, ub), (single, us)):
+            v = cut.values(x)
+            cut.add_cuts(np.hypot(v.real, v.imag) > 0, v)
+        u = ub
 
 
 @pytest.mark.parametrize("fallback", [False, True])

@@ -207,6 +207,33 @@ def test_wiener_period_draws_close(thetas, targets):
     assert max(floor, dual_certificate_check(cert)) >= r.lower - 1e-12
 
 
+def test_wiener_period_bracket_makes_one_primal_call(monkeypatch):
+    # a period-8 draw that stalls at 1e-9 on one and on two BLAS threads
+    # (the benchmark's tight_seq draw 691 at seed 1): a second, longer
+    # primal call used to replay the first one's cut rounds and never
+    # lowered the upper end
+    from picknorm import _lp
+
+    calls = []
+    solve = _lp.min_weighted_l1
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return solve(*args, **kwargs)
+
+    monkeypatch.setattr(_lp, "min_weighted_l1", counted)
+    with pytest.raises(SolverStall) as info:
+        np_norm_wiener([3.9269908169872414, 0.7853981633974483],
+                       [0.26203314732927696 - 0.6226359278915669j,
+                        -0.044734261275241695 - 1.4584611776349656j], 1e-9)
+    partial = info.value.partial
+    assert len(calls) == 1
+    assert partial.iterations == 1
+    assert partial.certificate["period"] == 8
+    assert partial.lower == pytest.approx(1.4913768618950527, rel=1e-12)
+    assert partial.upper == pytest.approx(1.491376863726026, rel=1e-12)
+
+
 # ----------------------------------------------------------------------
 # integrable functions with pinned coefficients
 # ----------------------------------------------------------------------
@@ -247,7 +274,7 @@ def test_torus_uniform_grid_cross_check():
     cands = (2 * np.pi / m) * np.arange(m)
     A = np.exp(-1j * np.outer(ks, cands))
     qstar = -1j * np.exp(1j * cands) * (1j + np.sin(cands)) / SQRT2
-    _, _, upper, _ = _lp.min_weighted_l1(A, a, gap_tol=1e-10, max_rounds=40,
+    _, _, upper, _ = _lp.min_weighted_l1(A, a, gap_tol=1e-10,
                                          phase_hints=np.angle(qstar))
     assert upper == pytest.approx(SQRT2, abs=1e-9)
     assert upper >= SQRT2 - 1e-12
