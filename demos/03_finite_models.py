@@ -36,14 +36,14 @@ g = np_norm_generic(sub, [1], [1.0], tolerance=1e-10)
 print(f"subalgebra closed form {cf.upper:.12f}, generic {g.upper:.12f}")
 
 ## Unit-weight sup norm: every interpolation norm equals the sup norm
-v = np_infty_test(FiniteAlgebra(4, "weighted_sup"), sample_budget=100)
-print(f"\nunit-weight sup: sup-property = {v.is_np_infty} (exact = {v.exact})")
+v = np_infty_test(FiniteAlgebra(4, "weighted_sup"))
+print(f"\nunit-weight sup: sup-property = {v.is_np_infty}")
 
-## Any l1-type or weighted norm produces a witness tuple immediately
+## Any l1-type or weighted norm has a witness on one or two sites
 for alg in (FiniteAlgebra(2, "weighted_l1"),
             FiniteAlgebra(2, "weighted_sup", weights=[2, 1]),
             FiniteAlgebra(2, "lp", p=3.0)):
-    v = np_infty_test(alg, sample_budget=100)
+    v = np_infty_test(alg)
     w = v.witness
     print(f"{alg!r}: witness subset {w['subset']} targets {w['targets']} "
           f"norm {w['np_value']:.6f} > sup {w['sup_value']:.6f}")

@@ -27,7 +27,9 @@ and it is 0 inside one block.
 
 The consistency check mirrors the norm-one interpolation argument: if
 targets (1, -1) can be interpolated with norm arbitrarily close to 1, then
-||phi - psi|| >= 2/norm -> 2, so the pair cannot share a part.
+||phi - psi|| >= 2/norm -> 2, so the pair cannot share a part.  On the disc
+the inequality is an equality: the norm of (1, -1) is exactly
+2/d(rho) = (1 + sqrt(1 - rho^2)) / rho, so it is read off the distance.
 """
 
 from __future__ import annotations
@@ -47,7 +49,7 @@ from .finitemodel import (
 )
 # is_feasible is unused here but stays bound: the benchmark's tracer patches
 # it in every module (perfbench/test_counts.py::test_tracer_restores_the_library)
-from .hardy import is_feasible, np_norm_hardy  # noqa: F401
+from .hardy import is_feasible  # noqa: F401
 
 _U = 2.0 ** -53  # unit roundoff of IEEE double precision
 
@@ -132,6 +134,17 @@ def gleason_distance_finite(alg: FiniteAlgebra, i: int, j: int) -> tuple[float, 
     return (float(d), float(d))
 
 
+def _sites_and_distance(backend, sites):
+    """The checked sites and the distance function of ``backend``: a
+    FiniteAlgebra or ``"hardy"``, else DomainViolation."""
+    if isinstance(backend, FiniteAlgebra):
+        sites = check_sites(backend.backend, sites, backend.dimension).tolist()
+        return sites, lambda s, t: gleason_distance_finite(backend, s, t)
+    if backend == "hardy":
+        return check_sites("hardy", sites).tolist(), gleason_distance_hardy
+    raise DomainViolation(f"unsupported backend {backend!r}")
+
+
 def certify_trivial_parts(backend, sites, tolerance: float = 1e-9) -> dict:
     """Two-point interpolation of (1, -1) at norm 1 certifies distance 2.
 
@@ -143,34 +156,29 @@ def certify_trivial_parts(backend, sites, tolerance: float = 1e-9) -> dict:
     certification is ever claimed from a norm bounded away from 1.  On a
     finite model the norms are the block closed forms; two sites in one
     block are one character, reported with ``same_character`` set, no
-    norm, and left out of ``all_pairs_certified_trivial``.  The sites pass
-    ``core.check_sites``.
+    norm, and left out of ``all_pairs_certified_trivial``.  On the disc the
+    norm is 2/d, d the lower end of ``gleason_distance_hardy``, rounded up
+    by 2u; distinct disc points always share the interior part, so the
+    disc claims nothing.  The sites pass ``core.check_sites``.
     """
-    if isinstance(backend, FiniteAlgebra):
-        sites = check_sites(backend.backend, sites, backend.dimension).tolist()
-        claimed = np_infty_test(backend, sample_budget=64).is_np_infty
-        labels = dict(zip(sites, _blocks(backend)[np.asarray(sites) - 1]))
-
-        def sign_norm(s, t):
-            if labels[s] == labels[t] >= 0:
-                return None
-            return np_norm_closed_form(backend, [s, t], [1.0, -1.0]).upper
-    elif backend == "hardy":
-        claimed = False  # distinct disc points always share the interior part
-        sites = check_sites("hardy", sites).tolist()
-
-        def sign_norm(s, t):
-            return np_norm_hardy([s, t], [1.0, -1.0], max(tolerance, 1e-9)).upper
-    else:
-        raise DomainViolation(f"unsupported backend {backend!r}")
+    sites, distance = _sites_and_distance(backend, sites)
+    finite = isinstance(backend, FiniteAlgebra)
+    claimed = finite and np_infty_test(backend).is_np_infty
 
     pairs = []
     for u in range(len(sites)):
         for v in range(u + 1, len(sites)):
-            np_val = sign_norm(sites[u], sites[v])
+            s, t = sites[u], sites[v]
+            d_lo, d_hi = distance(s, t)
+            if d_hi == 0.0:  # one block: one character
+                np_val = None
+            elif finite:
+                np_val = np_norm_closed_form(backend, [s, t], [1.0, -1.0]).upper
+            else:
+                np_val = 2.0 / d_lo * (1.0 + 2.0 * _U)
             certified = np_val is not None and np_val <= 1.0 + tolerance
             pairs.append({
-                "pair": (sites[u], sites[v]),
+                "pair": (s, t),
                 "same_character": np_val is None,
                 "np_value": None if np_val is None else float(np_val),
                 "certified_distance_lower": 2.0 / np_val if certified else None,
@@ -202,16 +210,8 @@ def part_partition(backend, sites, part_slack: float = 1e-6) -> GleasonReport:
     if not (isinstance(part_slack, numbers.Real) and not isinstance(part_slack, bool)
             and 0.0 <= part_slack < 2.0):
         raise DomainViolation(f"part_slack must be a real in [0, 2), got {part_slack!r}")
-    if isinstance(backend, FiniteAlgebra):
-        sites = tuple(check_sites(backend.backend, sites, backend.dimension).tolist())
-
-        def distance(s, t):
-            return gleason_distance_finite(backend, s, t)
-    elif backend == "hardy":
-        sites = tuple(check_sites("hardy", sites).tolist())
-        distance = gleason_distance_hardy
-    else:
-        raise DomainViolation(f"unsupported backend {backend!r}")
+    sites, distance = _sites_and_distance(backend, sites)
+    sites = tuple(sites)
     n = len(sites)
     if n < 2:
         raise DomainViolation("need at least two sites")

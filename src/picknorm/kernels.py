@@ -161,8 +161,8 @@ def _sample_coeffs(samples: np.ndarray, ks) -> np.ndarray:
     return spec[np.mod(ks, m)]
 
 
-def smoothing_chain(mu: TorusMeasure, ks, epsilon: float = 1e-3,
-                    orders=None, grid: int | None = None) -> dict:
+def smoothing_chain(mu: TorusMeasure, ks, orders=None,
+                    grid: int | None = None) -> dict:
     """Smooth a measure into integrable functions without moving the pinned
     coefficients, and compare against the interpolation-norm bracket.
 

@@ -271,9 +271,12 @@ def np_norm_wiener(thetas, targets, tolerance: float = 1e-9) -> NormResult:
     coefficient per residue class modulo the common period, making both
     sides finite and fully certified: one dual solve over the q residue
     rows, then one primal ``min_weighted_l1`` call (at most 8 cut rounds),
-    so such a bracket reports one iteration.  Incommensurate angles keep a
-    truncated primal; the certified lower bound falls back to the sup floor
-    and the (window-limited) dual value is reported as a diagnostic only.
+    so such a bracket reports one iteration.  ``common_period`` accepts an
+    angle within 1e-9 of 2*pi*p/q, so the bracket certified is that of the
+    snapped angles 2*pi*p_i/q; the certificate lists the ``residues`` p_i.
+    Incommensurate angles keep a truncated primal; the certified lower
+    bound falls back to the sup floor and the (window-limited) dual value
+    is reported as a diagnostic only.
     A bracket that does not close (the period reduction's primal LP stops
     short, or the truncation degree stagnates or reaches 1024) raises
     SolverStall carrying it, its certificate that of the last round plus a
@@ -306,6 +309,7 @@ def np_norm_wiener(thetas, targets, tolerance: float = 1e-9) -> NormResult:
         certificate = {
             "method": "wiener_l1_residues",
             "period": q,
+            "residues": p.tolist(),
             "dual": _cert_payload(cert),
             "residue_coefficients": _complex_list(c),
         }

@@ -4,7 +4,7 @@ Every suite is deterministic given its seed: problems are generated from a
 seeded generator, solved through the public operations, and checked against
 the library's invariants (sup-norm floor, feasibility monotonicity, closed
 form versus generic solver agreement, kernel exactness, part distances,
-witness reproducibility).  Suites report a check count, a failure count and
+sup-norm-property verdicts).  Suites report a check count, a failure count and
 the worst observed slack.
 """
 
@@ -312,53 +312,48 @@ def suite_gleason(seed: int) -> SuiteResult:
 
 
 def suite_np_infty(seed: int) -> SuiteResult:
-    """Witness search results reproduce identically under the fixed seed."""
+    """Sup-norm-property verdicts, decided from the block closed forms:
+    weighted l1 and weighted sup with a weight 2 give witnesses of norm 2
+    at sup 1, unit-weight sup gives none, and ``np_norm_closed_form``
+    reproduces a witness's value.  No draw is random, so ``seed`` is
+    unused."""
     t0 = time.perf_counter()
     checks = 0
     failures = 0
     worst = -math.inf
 
-    def rerun(alg):
-        v1 = fm.np_infty_test(alg, sample_budget=64, seed=seed)
-        v2 = fm.np_infty_test(alg, sample_budget=64, seed=seed)
-        return v1, v2
-
-    v1, v2 = rerun(fm.FiniteAlgebra(2, "weighted_l1"))
+    l1 = fm.FiniteAlgebra(2, "weighted_l1")
+    v = fm.np_infty_test(l1)
     checks += 1
-    if v1.is_np_infty or v1.witness != v2.witness:
+    if v.is_np_infty:
         failures += 1
     else:
-        gap = v1.witness["np_value"] - v1.witness["sup_value"]
+        gap = v.witness["np_value"] - v.witness["sup_value"]
         worst = max(worst, abs(gap - 1.0))
-        if abs(v1.witness["np_value"] - 2.0) > 1e-10 \
-                or abs(v1.witness["sup_value"] - 1.0) > 1e-10:
+        if abs(v.witness["np_value"] - 2.0) > 1e-10 \
+                or abs(v.witness["sup_value"] - 1.0) > 1e-10:
             failures += 1
 
-    v1, v2 = rerun(fm.FiniteAlgebra(2, "weighted_sup", weights=[2, 1]))
+    v2 = fm.np_infty_test(fm.FiniteAlgebra(2, "weighted_sup", weights=[2, 1]))
     checks += 1
-    if v1.is_np_infty or v1.witness != v2.witness:
-        failures += 1
-    elif abs(v1.witness["np_value"] - 2.0) > 1e-10:
+    if v2.is_np_infty or abs(v2.witness["np_value"] - 2.0) > 1e-10:
         failures += 1
 
-    v1, v2 = rerun(fm.FiniteAlgebra(3, "weighted_sup"))
     checks += 1
-    if not (v1.is_np_infty and v1.exact and v2.is_np_infty):
+    if not fm.np_infty_test(fm.FiniteAlgebra(3, "weighted_sup")).is_np_infty:
         failures += 1
 
     # witness recomputation exhibits the same gap
-    v1, _ = rerun(fm.FiniteAlgebra(2, "weighted_l1"))
-    if v1.witness is not None:
-        r = fm.np_norm_closed_form(fm.FiniteAlgebra(2, "weighted_l1"),
-                                   v1.witness["subset"], v1.witness["targets"])
+    if v.witness is not None:
+        r = fm.np_norm_closed_form(l1, v.witness["subset"], v.witness["targets"])
         checks += 1
-        drift = abs(r.upper - v1.witness["np_value"])
+        drift = abs(r.upper - v.witness["np_value"])
         worst = max(worst, drift)
         if drift > 1e-10:
             failures += 1
 
     return _result("np_infty", t0, checks, failures, worst,
-                   "sup-norm-property witnesses under the fixed seed")
+                   "sup-norm-property verdicts and witnesses from the closed forms")
 
 
 def run_suite(name: str, seed: int = 1) -> list[SuiteResult]:

@@ -191,7 +191,7 @@ def test_c12_trivial_part_consistency():
     # backends with a witness gap must not claim certification
     for alg in (FiniteAlgebra(2, "weighted_l1"),
                 FiniteAlgebra(2, "weighted_sup", weights=[2, 1])):
-        v = np_infty_test(alg, sample_budget=32)
+        v = np_infty_test(alg)
         rep2 = certify_trivial_parts(alg, [1, 2], tolerance=1e-9)
         ok = ok and not v.is_np_infty and rep2["consistent"]
         for p in rep2["pairs"]:
@@ -202,12 +202,10 @@ def test_c12_trivial_part_consistency():
 
 
 def test_c13_witnesses_reproduce():
-    a1 = np_infty_test(FiniteAlgebra(2, "weighted_l1"), sample_budget=64, seed=1)
-    a2 = np_infty_test(FiniteAlgebra(2, "weighted_l1"), sample_budget=64, seed=1)
-    b1 = np_infty_test(FiniteAlgebra(2, "weighted_sup", weights=[2, 1]),
-                       sample_budget=64, seed=1)
-    b2 = np_infty_test(FiniteAlgebra(2, "weighted_sup", weights=[2, 1]),
-                       sample_budget=64, seed=1)
+    a1 = np_infty_test(FiniteAlgebra(2, "weighted_l1"))
+    a2 = np_infty_test(FiniteAlgebra(2, "weighted_l1"))
+    b1 = np_infty_test(FiniteAlgebra(2, "weighted_sup", weights=[2, 1]))
+    b2 = np_infty_test(FiniteAlgebra(2, "weighted_sup", weights=[2, 1]))
     ok = (a1.witness == a2.witness and b1.witness == b2.witness
           and a1.witness["np_value"] == pytest.approx(2.0)
           and a1.witness["sup_value"] == pytest.approx(1.0)

