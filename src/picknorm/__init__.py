@@ -25,7 +25,6 @@ from .core import (
     NonpositiveLevel,
     NormResult,
     PicknormError,
-    SearchStall,
     Site,
     SolverError,
     SolverStall,

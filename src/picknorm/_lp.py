@@ -10,15 +10,16 @@ with a few dozen half-planes where a uniform polygon would need thousands.
 
 ``CutLP`` is the one engine that builds and solves these cut LPs; every cut
 loop here and in the finite backends is a specification on it.  Its bounded
-maps arrive as row blocks, one map per row, and live in one 2-D array.  Its
-first solve builds every row in a fixed order (bounded maps, then epigraph
-maps, each map by map and phase by phase, then the caller's rows) and keeps
-the HiGHS model it solved.  Each later solve appends only the rows added
-since, and HiGHS restarts dual simplex from the previous optimal basis
-without presolve (Huangfu & Hall 2018, "Parallelizing the dual revised
-simplex method", Math. Prog. Comp. 10).  The optimal value does not depend
-on that history, but the vertex HiGHS returns does: it depends on the row
-order, the basis it starts from and every coefficient's bits.
+maps arrive as row blocks, one map per row, and live in one 2-D array.
+Every row reaches HiGHS through ``addRows``.  The first solve of a cut loop
+creates the model with every row in a fixed order (bounded maps, then
+epigraph maps, each map by map and phase by phase, then the caller's rows)
+and keeps it.  Each later solve appends only the rows added since, and
+HiGHS restarts dual simplex from the previous optimal basis without
+presolve (Huangfu & Hall 2018, "Parallelizing the dual revised simplex
+method", Math. Prog. Comp. 10).  The optimal value does not depend on that
+history, but the vertex HiGHS returns does: it depends on the row order,
+the basis it starts from and every coefficient's bits.
 
 The primal ``min_weighted_l1`` is dual first.  Given the phases of a dual
 solution, it first solves ``_magnitude_lp``, the LP over the magnitudes at
@@ -57,9 +58,11 @@ def solve_lp(c, A_ub, b_ub, A_eq, b_eq, bounds, *, model=None):
 
     Calls scipy's HiGHS bindings directly, with the options linprog(highs)
     uses, and skips linprog's input parsing and its dual and marginal
-    bookkeeping, which nothing here reads.  Where those bindings cannot be
-    imported (a scipy without ``scipy.optimize._highspy._highs_wrapper``),
-    it calls linprog(method="highs"); both paths solve the same LP.
+    bookkeeping, which nothing here reads.  A new model gets its costs and
+    bounds through ``addCols``, then the ``A_ub`` and the ``A_eq`` block
+    through ``addRows``, as ``_csr`` lays them out.  Without those bindings
+    (a scipy without ``scipy.optimize._highspy._highs_wrapper``), it calls
+    linprog(method="highs"); both paths solve the same LP.
 
     ``model``, the ``model`` of an earlier direct result, re-solves that LP
     with the rows ``A_ub x <= b_ub`` appended (``c``, ``A_eq``, ``b_eq`` and
@@ -84,18 +87,25 @@ def solve_lp(c, A_ub, b_ub, A_eq, b_eq, bounds, *, model=None):
     # looked up per call, as linprog does, so a tracer that swaps the
     # module handle sees every solve
     h = _highs_wrapper._h
-    if model is None:
+    highs = model
+    statuses = []
+    if highs is None:
+        n = len(c)
+        bnd = np.array(bounds, dtype=float).reshape(n, 2)  # a None bound: nan
+        bnd = np.where(np.isnan(bnd), [-np.inf, np.inf], bnd)  # ... is infinite
         highs = h._Highs()
         highs.passOptions(_HIGHS_OPTIONS)
-        ok = highs.passModel(_highs_lp(h, c, A_ub, b_ub, A_eq, b_eq, bounds))
-    else:
-        highs = model
-        A = sparse.csr_array(A_ub)
-        ok = highs.addRows(A.shape[0], np.full(A.shape[0], -np.inf),
-                           np.asarray(b_ub, dtype=float), A.nnz,
-                           A.indptr.astype(np.int32), A.indices.astype(np.int32),
-                           A.data)
-    if ok == h.HighsStatus.kError:
+        statuses.append(highs.addCols(n, np.asarray(c, dtype=float), bnd[:, 0], bnd[:, 1],
+                                      0, np.zeros(n, np.int32), np.zeros(0, np.int32),
+                                      np.zeros(0)))
+    for A, b, eq in ((A_ub, b_ub, False), (A_eq, b_eq, True)):
+        if A is None:
+            continue
+        b = np.asarray(b, dtype=float)
+        start, index, value = _csr(A)
+        statuses.append(highs.addRows(len(b), b if eq else np.full(len(b), -np.inf),
+                                      b, len(value), start, index, value))
+    if h.HighsStatus.kError in statuses:
         status = h.HighsModelStatus.kModelError
     else:
         highs.run()
@@ -109,68 +119,21 @@ def solve_lp(c, A_ub, b_ub, A_eq, b_eq, bounds, *, model=None):
                           fun=highs.getObjectiveValue(), status=0, model=highs)
 
 
-def _highs_lp(h, c, A_ub, b_ub, A_eq, b_eq, bounds):
-    """The HighsLp of min c.x s.t. A_ub x <= b_ub, A_eq x = b_eq, bounds."""
-    c = np.asarray(c, dtype=float)
-    n = len(c)
-    b_ub = np.zeros(0) if A_ub is None else np.asarray(b_ub, dtype=float)
-    b_eq = np.zeros(0) if A_eq is None else np.asarray(b_eq, dtype=float)
-    lhs = np.concatenate([np.full(len(b_ub), -np.inf), b_eq])
-    rhs = np.concatenate([b_ub, b_eq])
-    start, index, value = _colwise(A_ub, A_eq, n)
-    bnd = np.array(bounds, dtype=float).reshape(n, 2)  # None -> nan
-    lb = np.where(np.isnan(bnd[:, 0]), -np.inf, bnd[:, 0])
-    ub = np.where(np.isnan(bnd[:, 1]), np.inf, bnd[:, 1])
-
-    lp = h.HighsLp()
-    lp.num_col_ = lp.a_matrix_.num_col_ = n
-    lp.num_row_ = lp.a_matrix_.num_row_ = len(rhs)
-    lp.a_matrix_.format_ = h.MatrixFormat.kColwise
-    lp.a_matrix_.start_ = start
-    lp.a_matrix_.index_ = index
-    lp.a_matrix_.value_ = value
-    lp.col_cost_ = c
-    lp.col_lower_ = lb
-    lp.col_upper_ = ub
-    lp.row_lower_ = lhs
-    lp.row_upper_ = rhs
-    return lp
-
-
-def _colwise(A_ub, A_eq, n: int):
-    """A_ub stacked over A_eq as HiGHS's column-wise (start, index, value).
-
-    Entries are ordered by column, then row, as scipy's csc_array orders
-    them; dense blocks drop their zeros, sparse blocks keep what they store
-    (each entry at most once).  Returned as lists, which the bindings
-    convert faster than arrays.
-    """
-    rows, cols, vals = [], [], []
-    m = 0
-    for A in (A_ub, A_eq):
-        if A is None:
-            continue
-        # a lone dense block comes out of nonzero() already in order
-        presorted = not rows and not sparse.issparse(A)
-        if sparse.issparse(A):
-            A = A.tocoo()
-            k, r, v = A.col, A.row, A.data
-        else:
-            A = np.asarray(A, dtype=float)
-            k, r = np.nonzero(A.T)  # column-major: by column, then row
-            v = A.T[k, r]
-        rows.append(r + m)
-        cols.append(k)
-        vals.append(v)
-        m += A.shape[0]
-    if not rows:
-        return [0] * (n + 1), [], []
-    rows, cols, vals = (np.concatenate(a) for a in (rows, cols, vals))
-    if not presorted:
-        order = np.lexsort((rows, cols))
-        rows, cols, vals = rows[order], cols[order], vals[order]
-    start = np.searchsorted(cols, np.arange(n + 1))
-    return start.tolist(), rows.tolist(), vals.tolist()
+def _csr(A):
+    """The block A as HiGHS's row-wise (start, index, value), ordered by row,
+    then column; a dense block drops its zeros, a sparse block keeps what it
+    stores (each entry at most once)."""
+    if sparse.issparse(A):
+        A = A.tocoo()
+        order = np.lexsort((A.col, A.row))
+        rows, cols, vals = A.row[order], A.col[order], A.data[order]
+    else:
+        A = np.asarray(A, dtype=float)
+        rows, cols = np.nonzero(A)  # row-major: by row, then column
+        vals = A[rows, cols]
+    start = np.searchsorted(rows, np.arange(A.shape[0] + 1))
+    return (start.astype(np.int32), cols.astype(np.int32),
+            np.asarray(vals, dtype=float))
 
 
 def _solve_linprog(c, A_ub, b_ub, A_eq, b_eq, bounds):
@@ -199,11 +162,12 @@ class CutLP:
     phi of its own phase set, which starts as ``cuts`` equally spaced phases
     and grows by ``add_cuts``.
 
-    The first ``solve`` builds every row map by map and keeps the solved
-    HiGHS model; each later one appends the rows of the phases (and bounded
+    The first ``solve`` creates the HiGHS model with every row, map by map,
+    and keeps it; each later one appends the rows of the phases (and bounded
     maps) added since, and warm-starts from the previous basis, so the
-    returned vertex depends on the order of solves and additions.  Without
-    scipy's private HiGHS bindings every solve rebuilds the whole LP.
+    returned vertex depends on the order of solves and additions.  Setting
+    ``model`` to None rebuilds the whole LP at the next solve; without
+    scipy's private HiGHS bindings every solve does.
 
     Callers compare moduli as np.hypot(Re, Im), which rounds as the scalar
     abs() does (numpy's vectorized complex abs can differ in the last bit);
@@ -258,18 +222,19 @@ class CutLP:
     def solve(self):
         """Solve with every cut so far; returns (u, result).
 
-        The first solve builds every row in one pass; later ones append the
-        rows added since to the live model.
+        Without a live model (the first solve, or every solve on the linprog
+        fallback) it builds the LP with every phase and the caller's rows;
+        with one it appends only the phases added since.
         """
         cost, A_ub, b_ub, A_eq, b_eq, bounds = self.lp
         if self.model is None:
-            A, rhs = self._rows(self.phases, len(cost), A_ub, b_ub)
-            res = solve_lp(cost, A, rhs, A_eq, b_eq, bounds)
-            self.model = res.get("model")  # None from linprog
+            self.sent = [0] * len(self.phases)
         else:
-            new = [ph[s:] for ph, s in zip(self.phases, self.sent)]
-            A, rhs = self._rows(new, len(cost))
-            res = solve_lp(cost, A, rhs, None, None, bounds, model=self.model)
+            A_ub = b_ub = A_eq = b_eq = None  # already in the model
+        A, rhs = self._rows([ph[s:] for ph, s in zip(self.phases, self.sent)],
+                            len(cost), A_ub, b_ub)
+        res = solve_lp(cost, A, rhs, A_eq, b_eq, bounds, model=self.model)
+        self.model = res.get("model")  # None from linprog
         self.sent = [len(ph) for ph in self.phases]
         return res.x[:self.d] + 1j * res.x[self.d:2 * self.d], res
 
@@ -366,37 +331,27 @@ def _magnitude_lp(A: np.ndarray, rhs: np.ndarray, w: np.ndarray,
 
 def _phase_fixed_descent(A: np.ndarray, rhs: np.ndarray, w: np.ndarray,
                          c0: np.ndarray) -> np.ndarray:
-    """Re-solve the magnitude LP with the phases of the current iterate
-    frozen, at most three times.
+    """Solve the magnitude LP once, with the phases of c0 frozen.
 
     Its basic solutions are sparse conic points, so this extracts a clean
     atomic solution from a smeared vertex of the cut polyhedron (degenerate
-    optimal faces).
+    optimal faces).  Returns c0 itself unless the new point's value is
+    smaller by more than 1e-15.
     """
-    n = A.shape[1]
-    c = c0.copy()
-    best = c0
-    best_val = float(np.sum(w * np.abs(c0)))
-    for _ in range(3):
-        scale = max(1e-300, float(np.max(np.abs(c))))
-        idx = np.nonzero(np.abs(c) > 1e-12 * scale)[0]
-        if len(idx) == 0:
-            break
-        phases = np.angle(c[idx])
-        try:
-            r = _magnitude_lp(A[:, idx], rhs, w[idx], phases)
-        except (InfeasibleCoset, SolverStall):
-            break
-        c_new = np.zeros(n, dtype=complex)
-        c_new[idx] = r * np.exp(1j * phases)
-        val = float(np.sum(w * np.abs(c_new)))
-        if val < best_val - 1e-15:
-            best_val = val
-            best = c_new
-        if np.max(np.abs(c_new - c)) <= 1e-14 * max(1.0, scale):
-            break
-        c = c_new
-    return best
+    scale = max(1e-300, float(np.max(np.abs(c0))))
+    idx = np.nonzero(np.abs(c0) > 1e-12 * scale)[0]
+    if len(idx) == 0:
+        return c0
+    phases = np.angle(c0[idx])
+    try:
+        r = _magnitude_lp(A[:, idx], rhs, w[idx], phases)
+    except (InfeasibleCoset, SolverStall):
+        return c0
+    c = np.zeros(A.shape[1], dtype=complex)
+    c[idx] = r * np.exp(1j * phases)
+    if float(np.sum(w * np.abs(c))) < float(np.sum(w * np.abs(c0))) - 1e-15:
+        return c
+    return c0
 
 
 def _phase_hint_solution(A: np.ndarray, rhs: np.ndarray, w: np.ndarray,
@@ -451,11 +406,11 @@ def min_weighted_l1(A: np.ndarray, rhs: np.ndarray, *, gap_tol: float = 1e-11,
     projected points has a value within ``gap_tol * max(1, value)`` of
     ``lower``, it is returned with ``rounds == 0`` and ``lp_lower`` is the
     caller's ``lower``; no cut LP is built.  Otherwise, and without hints,
-    a Kelley cut loop runs for at most 8 rounds: each round's
-    vertex, its phase-fixed and IRLS polishes, and in round 1 the unprojected
-    hinted point are candidates, ranked by their value before projection,
-    and ``lp_lower`` is the last cut LP's optimum (the cuts under-approximate
-    each modulus).
+    a Kelley cut loop runs for at most 8 rounds: each round's vertex's
+    phase-fixed and IRLS polishes (each the vertex itself unless it found
+    a smaller value), and in round 1 the unprojected hinted point, are
+    candidates, ranked by their value before projection, and ``lp_lower``
+    is the last cut LP's optimum (the cuts under-approximate each modulus).
     """
     A = np.asarray(A, dtype=complex)
     rhs = np.asarray(rhs, dtype=complex)
@@ -498,8 +453,7 @@ def min_weighted_l1(A: np.ndarray, rhs: np.ndarray, *, gap_tol: float = 1e-11,
     for rounds in range(1, 9):
         c, res = cut.solve()
         lp_lower = float(res.fun)
-        cands = [c, _phase_fixed_descent(A, rhs, w, c),
-                 _irls_polish(A, rhs, w, c)]
+        cands = [_phase_fixed_descent(A, rhs, w, c), _irls_polish(A, rhs, w, c)]
         if hinted is not None and rounds == 1:
             cands.append(hinted)
         for cand in cands:

@@ -154,21 +154,8 @@ def _load(path: str) -> dict:
 def cmd_compute(args) -> int:
     doc = _load(args.file)
     t0 = time.perf_counter()
-    try:
-        problem = parse_problem(doc, args.tol)
-        result = compute_np_norm(problem)
-    except ParseError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_VALIDATION
-    except ValidationError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_VALIDATION
-    except SolverStall as exc:
-        print(f"error: solver stalled: {exc}", file=sys.stderr)
-        return EXIT_SOLVER
-    except SolverError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_SOLVER
+    problem = parse_problem(doc, args.tol)
+    result = compute_np_norm(problem)
     elapsed_ms = 1000.0 * (time.perf_counter() - t0)
 
     out = {
@@ -197,29 +184,18 @@ def cmd_compute(args) -> int:
 def cmd_gleason(args) -> int:
     doc = _load(args.file)
     backend = doc.get("backend")
-    try:
-        if backend != "hardy" and backend not in FINITE_NORM_KINDS:
-            raise ParseError("backend",
-                             f"backend {backend!r} has no part diagnostics")
-        raw = doc.get("sites")
-        if not isinstance(raw, list) or len(raw) < 2:
-            raise ParseError("sites", "need at least two sites")
-        sites = [s.value for s in _parse_sites(BACKEND_SITE_KIND[backend], raw)]
-        if backend == "hardy":
-            target = "hardy"
-        else:
-            target = finite_algebra(backend, _parse_params(doc), sites)
-        slack = doc.get("part_slack", 1e-6)
-        report = gleason_mod.part_partition(target, sites, part_slack=slack)
-    except ParseError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_VALIDATION
-    except ValidationError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_VALIDATION
-    except SolverError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_SOLVER
+    if backend != "hardy" and backend not in FINITE_NORM_KINDS:
+        raise ParseError("backend", f"backend {backend!r} has no part diagnostics")
+    raw = doc.get("sites")
+    if not isinstance(raw, list) or len(raw) < 2:
+        raise ParseError("sites", "need at least two sites")
+    sites = [s.value for s in _parse_sites(BACKEND_SITE_KIND[backend], raw)]
+    if backend == "hardy":
+        target = "hardy"
+    else:
+        target = finite_algebra(backend, _parse_params(doc), sites)
+    slack = doc.get("part_slack", 1e-6)
+    report = gleason_mod.part_partition(target, sites, part_slack=slack)
 
     out = {
         "backend_echo": backend,
@@ -319,9 +295,20 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    """Run one command; its parse, validation and solver errors become exit
+    codes 2 and 3 here, with the message on stderr."""
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
+    except (ParseError, ValidationError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_VALIDATION
+    except SolverStall as exc:
+        print(f"error: solver stalled: {exc}", file=sys.stderr)
+        return EXIT_SOLVER
+    except SolverError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_SOLVER
     except SystemExit as exc:
         return int(exc.code) if exc.code is not None else EXIT_OK
 

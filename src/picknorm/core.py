@@ -130,10 +130,6 @@ class InfeasibleCoset(SolverError):
     """The subalgebra cannot interpolate the requested targets."""
 
 
-class SearchStall(SolverError):
-    pass
-
-
 # --------------------------------------------------------------------------
 # Domain types
 # --------------------------------------------------------------------------

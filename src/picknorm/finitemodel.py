@@ -423,8 +423,7 @@ def annihilating_functional(basis) -> np.ndarray | None:
     return mu
 
 
-def scattered_contradiction_check(basis_or_alg, tolerance: float = 1e-9,
-                                  norm_bound: float = 2.0) -> dict:
+def scattered_contradiction_check(basis_or_alg, tolerance: float = 1e-9) -> dict:
     """Probe the annihilator dichotomy on a proper subspace of C^n.
 
     Any nonzero mu annihilating the span is purely atomic here; order its
@@ -452,7 +451,8 @@ def scattered_contradiction_check(basis_or_alg, tolerance: float = 1e-9,
     head = 0.0
     n0 = 0
     # strict head rule with a guard so rounding ties (head exactly 2/3)
-    # cannot produce a vacuous pairing bound
+    # cannot produce a vacuous pairing bound; 2/3 = 2/(1 + 2) is the mass
+    # at which head - 2*tail turns positive for the norm bound 2
     limit = (2.0 / 3.0) * total * (1.0 + 1e-9)
     for i in order:
         head += abs(mu[i])
@@ -461,7 +461,7 @@ def scattered_contradiction_check(basis_or_alg, tolerance: float = 1e-9,
             break
     head_idx = order[:n0]
     tail_mass = total - head
-    bound_value = head - norm_bound * tail_mass
+    bound_value = head - 2.0 * tail_mass
 
     subset = [i + 1 for i in head_idx]
     targets = np.array([np.conj(mu[i]) / abs(mu[i]) for i in head_idx])
@@ -484,11 +484,11 @@ def scattered_contradiction_check(basis_or_alg, tolerance: float = 1e-9,
                             "pattern at all")
         return report
 
-    if result.upper > norm_bound + tolerance:
+    if result.upper > 2.0 + tolerance:
         report["branch"] = "no_bounded_interpolant"
         report["np_value"] = result.upper
         report["detail"] = (f"minimal interpolant norm {result.upper:.6f} "
-                            f"exceeds {norm_bound}; the sup-norm property "
+                            "exceeds 2.0; the sup-norm property "
                             "fails on this subspace")
         return report
 

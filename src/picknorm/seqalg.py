@@ -59,12 +59,10 @@ def _dual_tol(tolerance: float) -> float:
 
 @dataclass(frozen=True)
 class TruncationPlan:
-    """Discretization sizes for one solve: coefficient cutoff, certification
-    grid / window size, and the geometric tail margin the cutoff guarantees."""
+    """The coefficient cutoff of one solve, which guarantees its geometric
+    tail margin."""
 
     degree: int
-    grid_size: int
-    tail_margin: float
 
 
 @dataclass(frozen=True)
@@ -94,7 +92,7 @@ def plan_for_analytic(lambdas, tail_margin: float) -> TruncationPlan:
     else:
         K = int(math.ceil(math.log(tail_margin * (1.0 - r)) / math.log(r))) - 1
         K = min(max(K, n, 2), _MAX_DEGREE)
-    return TruncationPlan(degree=K, grid_size=16 * (K + 1), tail_margin=tail_margin)
+    return TruncationPlan(degree=K)
 
 
 # --------------------------------------------------------------------------
@@ -504,15 +502,7 @@ def _select_separated(idx: np.ndarray, vals: np.ndarray, m: int,
         kept.append(i)
         if len(kept) >= cap:
             break
-        lo, hi = i - min_sep + 1, i + min_sep
-        if lo < 0:
-            blocked[lo % m:] = True
-            blocked[:hi] = True
-        elif hi > m:
-            blocked[lo:] = True
-            blocked[:hi % m] = True
-        else:
-            blocked[lo:hi] = True
+        blocked[np.arange(i - min_sep + 1, i + min_sep) % m] = True
     return np.asarray(kept, dtype=int)
 
 

@@ -18,6 +18,7 @@ import importlib.util
 
 import numpy as np
 import pytest
+from scipy import sparse
 
 from picknorm import _lp, verify
 from picknorm import finitemodel as fm
@@ -310,6 +311,48 @@ def test_open_gap_runs_the_cut_loop_unchanged(monkeypatch, fallback):
     assert rest[2] >= 1
     assert rest == rest0
     assert c.tobytes() == c0.tobytes()
+
+
+def test_csr_of_a_shuffled_coo_block_matches_the_dense_block():
+    rng = np.random.default_rng(3)
+    dense = rng.standard_normal((5, 7))
+    dense[rng.random((5, 7)) < 0.5] = 0.0
+    r, k = np.nonzero(dense)
+    perm = rng.permutation(len(r))
+    coo = sparse.coo_array((dense[r, k][perm], (r[perm], k[perm])), shape=dense.shape)
+    got, want = _lp._csr(coo), _lp._csr(dense)
+    for a, b, dtype in zip(got, want, (np.int32, np.int32, np.float64)):
+        assert a.dtype == b.dtype == dtype
+        assert a.tobytes() == b.tobytes()
+    start, index, value = want
+    # the dense block's zeros are dropped, and the arrays rebuild it
+    assert len(value) == np.count_nonzero(dense) and np.all(value != 0)
+    assert np.array_equal(sparse.csr_array((value, index, start), shape=dense.shape)
+                          .toarray(), dense)
+    # a sparse block keeps an explicit zero it stores
+    stored = sparse.coo_array(([1.0, 0.0], ([1, 0], [0, 1])), shape=(2, 2))
+    assert [a.tolist() for a in _lp._csr(stored)] == [[0, 1, 2], [1, 0], [0.0, 1.0]]
+
+    c, bounds = rng.standard_normal(7), [(-1, 1)] * 7
+    res_coo = _lp.solve_lp(c, coo, np.ones(5), None, None, bounds)
+    res_dense = _lp.solve_lp(c, dense, np.ones(5), None, None, bounds)
+    assert res_coo.fun == res_dense.fun
+    assert res_coo.x.tobytes() == res_dense.x.tobytes()
+
+
+def test_vertex_polishers_return_c0_unless_they_improve():
+    A, rhs, _ = _torus_grid_problem()
+    w = np.ones(A.shape[1])
+    # the sparse optimum: weights (1 +- i)/2 at +-pi/2
+    opt = np.zeros(A.shape[1], dtype=complex)
+    opt[128], opt[384] = (1 + 1j) / 2, (1 - 1j) / 2
+    # the least-norm interpolant is smeared over the whole grid
+    smeared = A.conj().T @ np.linalg.solve(A @ A.conj().T, rhs)
+    for polish in (_lp._phase_fixed_descent, _lp._irls_polish):
+        assert polish(A, rhs, w, opt) is opt
+        out = polish(A, rhs, w, smeared)
+        assert out is not smeared
+        assert np.sum(np.abs(out)) < np.sum(np.abs(smeared))
 
 
 def test_infeasible_phase_hints_give_a_projected_point():

@@ -19,7 +19,7 @@ from picknorm import (
     np_norm_wiener,
     wiener_certificate,
 )
-from picknorm.seqalg import common_period, plan_for_analytic
+from picknorm.seqalg import _CHUNK, _grid_max, common_period, plan_for_analytic
 
 SQRT2 = np.sqrt(2.0)
 
@@ -73,7 +73,6 @@ def test_truncation_plan_tail_bound():
     plan = plan_for_analytic([0.3, 0.9], 1e-10)
     r = 0.9
     assert r ** (plan.degree + 1) / (1 - r) <= 1e-10
-    assert plan.grid_size >= 16 * plan.degree
 
 
 def test_analytic_certificate_weak_duality():
@@ -250,6 +249,16 @@ def test_wiener_period_bracket_makes_one_primal_call(monkeypatch):
 # ----------------------------------------------------------------------
 # integrable functions with pinned coefficients
 # ----------------------------------------------------------------------
+
+def test_grid_max_in_chunks():
+    # past 2^25 points the grid is evaluated in chunks, not by one FFT;
+    # |1 + i e^{3i theta}| peaks at 2 first at theta = pi/2, a grid point
+    m = 2 ** 25 + 2 ** 20
+    assert m // _CHUNK == 33
+    gm, theta = _grid_max(np.array([0, 3]), np.array([1, 1j]), m)
+    assert gm == pytest.approx(2.0, rel=1e-15)
+    assert theta == pytest.approx(np.pi / 2, rel=1e-15)
+
 
 def test_torus_single_coefficient():
     r = np_norm_l1_torus([0], [1.0], 1e-6)
