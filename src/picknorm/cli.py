@@ -227,10 +227,6 @@ def cmd_gleason(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    if args.suite not in verify.SUITES:
-        print(f"error: unknown suite {args.suite!r}; choose from "
-              f"{', '.join(verify.SUITES)}", file=sys.stderr)
-        return EXIT_VALIDATION
     results = verify.run_suite(args.suite, seed=args.seed)
     all_pass = True
     for r in results:

@@ -248,12 +248,13 @@ def _integer(z):
     return (z.imag == 0.0) & (abs(z.real) <= 2.0 ** 53) & (np.floor(z.real) == z.real)
 
 
-def check_dimension(d) -> int:
-    """A finite model's dimension: a real integer >= 1 by ``_integer``
-    (2.7, NaN and True are rejected, never truncated)."""
+def check_dimension(d, name: str = "dimension") -> int:
+    """A count, such as a finite model's dimension, a kernel order or a grid
+    size: a real integer >= 1 by ``_integer`` (2.7, NaN and True are
+    rejected, never truncated).  ``name`` is the parameter the message names."""
     if not (isinstance(d, numbers.Real) and not isinstance(d, bool)
             and _integer(complex(d)) and d >= 1):
-        raise DomainViolation(f"dimension must be an integer >= 1, got {d!r}")
+        raise DomainViolation(f"{name} must be an integer >= 1, got {d!r}")
     return int(d)
 
 

@@ -106,11 +106,7 @@ class FiniteAlgebra:
         if basis is None:
             self.basis = None
         else:
-            B = np.asarray(basis, dtype=complex)
-            if B.ndim != 2 or B.shape[1] != self.dimension:
-                raise DomainViolation(
-                    "basis must be a list of vectors of length = dimension")
-            self.basis = B
+            self.basis = _basis_rows(basis, self.dimension)
             if closure_check:
                 _blocks(self)
 
@@ -118,7 +114,7 @@ class FiniteAlgebra:
     def subspace(cls, basis, dimension=None, norm_kind: str = "weighted_sup",
                  weights=None, p: float | None = None) -> "FiniteAlgebra":
         """A plain subspace (closure check skipped) for annihilator probes."""
-        B = np.asarray(basis, dtype=complex)
+        B = _basis_rows(basis)
         dim = B.shape[1] if dimension is None else dimension
         return cls(dim, norm_kind, weights=weights, p=p, basis=B,
                    closure_check=False)
@@ -135,6 +131,15 @@ class FiniteAlgebra:
         extra = f", p={self.p}" if self.norm_kind == "lp" else ""
         sub = ", subalgebra" if self.basis is not None else ""
         return f"FiniteAlgebra(n={self.dimension}, {self.norm_kind}{extra}{sub})"
+
+
+def _basis_rows(basis, dimension: int | None = None) -> np.ndarray:
+    """A basis as a 2-D complex array of vectors, each of length
+    ``dimension`` when one is given."""
+    B = np.asarray(basis, dtype=complex)
+    if B.ndim != 2 or dimension not in (None, B.shape[1]):
+        raise DomainViolation("basis must be a list of vectors of length = dimension")
+    return B
 
 
 @dataclass(frozen=True)

@@ -29,6 +29,10 @@ from .core import (
 )
 
 
+# is_feasible's PSD slack, relative to max(1, ||M(t)||_F)
+_PSD_SLACK = 1e-12
+
+
 @dataclass(frozen=True)
 class PickMatrix:
     """Hermitian feasibility matrix at level t for data (lambdas, zs)."""
@@ -66,17 +70,13 @@ def build_pick_matrix(lambdas, zs, t: float) -> PickMatrix:
     return PickMatrix(entries=entries, level=float(t), lambdas=lam, zs=z)
 
 
-def is_feasible(lambdas, zs, t: float, psd_slack: float | None = None) -> FeasibilityVerdict:
-    """Positive semidefiniteness of M(t) up to a relative slack.
-
-    Default slack 1e-12 * max(1, ||M||_F): the single-site case at t = |z|
-    sits exactly at eigenvalue 0 and must not be reported infeasible due to
-    rounding.
+def is_feasible(lambdas, zs, t: float) -> FeasibilityVerdict:
+    """Positive semidefiniteness of M(t) up to the slack
+    1e-12 * max(1, ||M||_F): the single-site case at t = |z| sits exactly
+    at eigenvalue 0 and must not be reported infeasible due to rounding.
     """
     pick = build_pick_matrix(lambdas, zs, t)
-    fro = float(np.linalg.norm(pick.entries))
-    if psd_slack is None:
-        psd_slack = 1e-12 * max(1.0, fro)
+    psd_slack = _PSD_SLACK * max(1.0, float(np.linalg.norm(pick.entries)))
     try:
         eigs = np.linalg.eigvalsh(pick.entries)
     except np.linalg.LinAlgError as exc:  # pragma: no cover - LAPACK failure
@@ -84,7 +84,7 @@ def is_feasible(lambdas, zs, t: float, psd_slack: float | None = None) -> Feasib
     min_eig = float(eigs[0])
     return FeasibilityVerdict(feasible=min_eig >= -psd_slack,
                               min_eigenvalue=min_eig,
-                              psd_slack=float(psd_slack))
+                              psd_slack=psd_slack)
 
 
 def np_norm_hardy(lambdas, zs, tolerance: float = 1e-9) -> NormResult:

@@ -19,7 +19,14 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import DomainViolation, GridTooCoarse, SolverStall, _integer, check_sites
+from .core import (
+    DomainViolation,
+    GridTooCoarse,
+    SolverStall,
+    _integer,
+    check_dimension,
+    check_sites,
+)
 from .seqalg import np_norm_l1_torus
 
 
@@ -44,10 +51,10 @@ def kernel_coeffs(kind: str, order: int) -> KernelSpec:
 
     The trapezoid profile min(1, 2 - |k|/l) is exactly 1 for |k| <= l and
     supported on |k| < 2l; equivalently it is twice the triangular kernel of
-    order 2l-1 minus the one of order l-1.
+    order 2l-1 minus the one of order l-1.  The order passes
+    ``core.check_dimension``.
     """
-    if order < 1:
-        raise DomainViolation("kernel order must be >= 1")
+    order = check_dimension(order, "kernel order")
     if kind == "fejer":
         coeffs = {k: 1.0 - abs(k) / (order + 1)
                   for k in range(-order, order + 1)}
@@ -115,8 +122,9 @@ def convolve(mu: TorusMeasure, V: KernelSpec, grid: int):
     Frequency-domain evaluation: exact for the atomic part, quadrature-exact
     for densities that are trigonometric polynomials resolved by their own
     grid.  Output coefficients at |k| <= l reproduce hat mu(k) exactly for
-    the trapezoid kernel.
+    the trapezoid kernel.  The grid size passes ``core.check_dimension``.
     """
+    grid = check_dimension(grid, "grid")
     if grid < 8 * V.max_freq:
         raise GridTooCoarse(
             f"grid {grid} < 8 * max kernel frequency {V.max_freq}")
@@ -171,7 +179,8 @@ def smoothing_chain(mu: TorusMeasure, ks, orders=None,
     most ||V_l||_1 * ||mu||, and it interpolates — so ||f_l||_1 must sit at
     or above the certified lower bound for the interpolation norm of the
     pinned coefficients.  The report records every slack in that chain.
-    The frequencies pass ``core.check_sites`` for ``l1_torus``.
+    The frequencies pass ``core.check_sites`` for ``l1_torus``, the orders
+    ``core.check_dimension``.
     """
     ks = check_sites("l1_torus", ks)
     kmax = int(np.max(np.abs(ks))) if len(ks) else 0
@@ -184,7 +193,7 @@ def smoothing_chain(mu: TorusMeasure, ks, orders=None,
             l0 *= 2
         orders = [l0 * (2 ** j) for j in range(5)]
     else:
-        orders = [int(l) for l in orders]
+        orders = [check_dimension(l, "smoothing order") for l in orders]
         if any(l <= kmax for l in orders):
             raise DomainViolation("every order must exceed max|k_i|")
 
@@ -202,8 +211,6 @@ def smoothing_chain(mu: TorusMeasure, ks, orders=None,
     for l in orders:
         V = kernel_coeffs("dlvp", l)
         m = grid if grid is not None else max(1024, 8 * V.max_freq)
-        if m < 8 * V.max_freq:
-            raise GridTooCoarse(f"grid {m} too coarse for order {l}")
         samples, l1 = convolve(mu, V, m)
         fhat = _sample_coeffs(samples, ks)
         cerr = float(np.max(np.abs(fhat - a))) if len(ks) else 0.0

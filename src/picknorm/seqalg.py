@@ -628,9 +628,15 @@ def dual_certificate_check(cert: DualCertificate) -> float:
     and dual vector at twice the grid (torus: nested finer grid) or twice
     the frequency window plus tail (coefficient algebras), or over the exact
     period for commensurate angles, and returns the implied bound.  Accepts
-    iff the recheck does not lower the bound by more than 1e-12; otherwise
-    raises CertificateRejected naming the violating frequency or angle.
+    iff the claimed ``bound`` and ``certified_sup`` are finite and the
+    recheck does not lower the bound by more than 1e-12; otherwise raises
+    CertificateRejected naming the non-finite claim or the violating
+    frequency or angle.
     """
+    if not (math.isfinite(cert.bound) and math.isfinite(cert.certified_sup)):
+        raise CertificateRejected(
+            f"claimed bound {cert.bound!r} over certified sup "
+            f"{cert.certified_sup!r} is not finite")
     meta = cert.meta
     backend = meta.get("backend")
     sites, a, b = meta["sites"], meta["targets"], cert.b

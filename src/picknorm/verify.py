@@ -5,7 +5,9 @@ seeded generator, solved through the public operations, and checked against
 the library's invariants (sup-norm floor, feasibility monotonicity, closed
 form versus generic solver agreement, kernel exactness, part distances,
 sup-norm-property verdicts).  Suites report a check count, a failure count and
-the worst observed slack.
+the worst observed slack.  Each check is the condition that must hold,
+counted by one ``_Tally``: a check fails at most once, and a NaN anywhere in
+its condition fails it.
 """
 
 from __future__ import annotations
@@ -16,12 +18,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import gleason, hardy, kernels, seqalg
+from . import gleason, hardy, kernels
 from . import finitemodel as fm
 from .core import InterpolationProblem, Site, SolverStall, compute_np_norm
-
-SUITES = ("remark1", "monotone_feasibility", "oracle_equivalence",
-          "kernels", "gleason", "np_infty", "all")
 
 
 @dataclass(frozen=True)
@@ -35,10 +34,30 @@ class SuiteResult:
     elapsed_s: float
 
 
-def _result(name, t0, checks, failures, worst, detail="") -> SuiteResult:
-    return SuiteResult(name=name, passed=failures == 0, checks=checks,
-                       failures=failures, worst_slack=float(worst),
-                       detail=detail, elapsed_s=time.perf_counter() - t0)
+class _Tally:
+    """One suite's count of checks and failures, its worst reported slack
+    and its start time."""
+
+    def __init__(self, name: str):
+        self.name = name
+        self.t0 = time.perf_counter()
+        self.checks = 0
+        self.failures = 0
+        self.worst = -math.inf
+
+    def check(self, ok, slack=None) -> None:
+        """Count one check, failed unless ``ok`` is true.  ``ok`` is the
+        condition that must hold, so a NaN comparison in it fails."""
+        self.checks += 1
+        self.failures += not ok
+        if slack is not None:
+            self.worst = max(self.worst, slack)
+
+    def result(self, detail: str) -> SuiteResult:
+        return SuiteResult(name=self.name, passed=self.failures == 0,
+                           checks=self.checks, failures=self.failures,
+                           worst_slack=float(self.worst), detail=detail,
+                           elapsed_s=time.perf_counter() - self.t0)
 
 
 def _distinct_disc_points(rng, n, rmax):
@@ -96,12 +115,9 @@ def _floor_problem(backend, rng):
 
 def suite_remark1(seed: int, per_backend: int = 1000) -> SuiteResult:
     """Certified lower bound >= max|a_i| - 1e-7 on every backend."""
-    t0 = time.perf_counter()
+    tally = _Tally("remark1")
     backends = ("hardy", "analytic_wiener", "wiener", "l1_torus",
                 "finite_sup", "finite_l1", "finite_lp")
-    checks = 0
-    failures = 0
-    worst = -math.inf
     for bi, backend in enumerate(backends):
         rng = np.random.default_rng(seed * 1009 + bi)
         for _ in range(per_backend):
@@ -111,50 +127,35 @@ def suite_remark1(seed: int, per_backend: int = 1000) -> SuiteResult:
                 r = compute_np_norm(p)
             except SolverStall as exc:
                 r = exc.partial
-                if r is None:
-                    failures += 1
-                    checks += 1
-                    continue
-            checks += 1
-            slack = floor - r.lower  # must be <= 1e-7
-            worst = max(worst, slack)
-            if slack > 1e-7 or r.upper < r.lower:
-                failures += 1
-    return _result("remark1", t0, checks, failures, worst,
-                   f"{per_backend} problems x {len(backends)} backends; "
-                   "slack = floor - certified lower")
+            if r is None:
+                tally.check(False)
+                continue
+            slack = floor - r.lower
+            tally.check(slack <= 1e-7 and r.lower <= r.upper, slack)
+    return tally.result(f"{per_backend} problems x {len(backends)} backends; "
+                        "slack = floor - certified lower")
 
 
 def suite_monotone_feasibility(seed: int, count: int = 1000) -> SuiteResult:
     """Pick-matrix feasibility at level t implies feasibility at 2t."""
-    t0 = time.perf_counter()
+    tally = _Tally("monotone_feasibility")
     rng = np.random.default_rng(seed * 1013)
-    checks = 0
-    failures = 0
-    worst = -math.inf
     for _ in range(count):
         n = int(rng.integers(1, 5))
         lam = _distinct_disc_points(rng, n, 0.95)
         z = _rand_targets(rng, n)
         t = float(rng.uniform(0.1, 3.0))
-        v1 = hardy.is_feasible(lam, z, t)
-        checks += 1
-        if v1.feasible:
+        if hardy.is_feasible(lam, z, t).feasible:
             v2 = hardy.is_feasible(lam, z, 2 * t)
-            slack = -v2.min_eigenvalue - v2.psd_slack
-            worst = max(worst, slack)
-            if not v2.feasible:
-                failures += 1
-    return _result("monotone_feasibility", t0, checks, failures, worst,
-                   f"{count} random levels; slack = -(min eig + slack) at 2t")
+            tally.check(v2.feasible, -v2.min_eigenvalue - v2.psd_slack)
+        else:
+            tally.check(True)  # nothing to imply
+    return tally.result(f"{count} random levels; slack = -(min eig + slack) at 2t")
 
 
 def suite_oracle_equivalence(seed: int, per_kind: int = 500) -> SuiteResult:
     """Generic convex solver equals closed forms on full C^n within 1e-8."""
-    t0 = time.perf_counter()
-    checks = 0
-    failures = 0
-    worst = -math.inf
+    tally = _Tally("oracle_equivalence")
     for ki, kind in enumerate(("weighted_sup", "weighted_l1", "lp")):
         rng = np.random.default_rng(seed * 1019 + ki)
         for _ in range(per_kind):
@@ -173,32 +174,22 @@ def suite_oracle_equivalence(seed: int, per_kind: int = 500) -> SuiteResult:
                 g = fm.np_norm_generic(alg, subset, a, tolerance=1e-10)
             except SolverStall as exc:
                 g = exc.partial  # its upper is still an evaluated interpolant
-            checks += 1
             diff = abs(g.upper - cf.upper)
-            worst = max(worst, diff)
-            if diff > 1e-8:
-                failures += 1
-    return _result("oracle_equivalence", t0, checks, failures, worst,
-                   f"{per_kind} problems x 3 norm kinds; slack = |generic - closed|")
+            tally.check(diff <= 1e-8, diff)
+    return tally.result(f"{per_kind} problems x 3 norm kinds; slack = |generic - closed|")
 
 
 def suite_kernels(seed: int) -> SuiteResult:
     """Trapezoid-kernel coefficient exactness, low-degree reproduction,
     positive-kernel mass, and smoothing convergence."""
-    t0 = time.perf_counter()
+    tally = _Tally("kernels")
     rng = np.random.default_rng(seed * 1021)
-    checks = 0
-    failures = 0
-    worst = -math.inf
 
     # coefficients equal 1 on |k| <= l, bit exact
     for l in range(1, 65):
         V = kernels.kernel_coeffs("dlvp", l)
-        checks += 1
-        if any(V.coeff(k) != 1.0 for k in range(-l, l + 1)):
-            failures += 1
-        if V.max_freq > 2 * l:
-            failures += 1
+        tally.check(all(V.coeff(k) == 1.0 for k in range(-l, l + 1))
+                    and V.max_freq <= 2 * l)
 
     # reproduction of random trigonometric polynomials of degree <= l
     for l in (4, 16):
@@ -214,20 +205,15 @@ def suite_kernels(seed: int) -> SuiteResult:
             mu = kernels.TorusMeasure(density=p)
             out, _ = kernels.convolve(mu, V, m)
             err = float(np.max(np.abs(out - p)))
-            checks += 1
-            worst = max(worst, err)
-            if err > 1e-10:
-                failures += 1
+            tally.check(err <= 1e-10, err)
 
     # positive kernel: nonnegative samples, unit mass
     for order in (1, 8, 32):
         F = kernels.kernel_coeffs("fejer", order)
         m = 64 * (order + 1)
         samples, l1 = kernels.convolve(kernels.unit_point_mass(), F, m)
-        checks += 1
-        if float(np.min(samples.real)) < -1e-12 or abs(l1 - 1.0) > 1e-10:
-            failures += 1
-        worst = max(worst, abs(l1 - 1.0))
+        tally.check(float(np.min(samples.real)) >= -1e-12 and abs(l1 - 1.0) <= 1e-10,
+                    abs(l1 - 1.0))
 
     # smoothing of a kinked density: decreasing error, < 0.01 at order 256
     m = 8192
@@ -238,30 +224,19 @@ def suite_kernels(seed: int) -> SuiteResult:
     for l in (16, 32, 64, 128, 256):
         out, _ = kernels.convolve(mu, kernels.kernel_coeffs("dlvp", l), m)
         errs.append(float(np.mean(np.abs(out - g))))
-    checks += 1
-    if not all(e1 > e2 for e1, e2 in zip(errs, errs[1:])) or errs[-1] >= 0.01:
-        failures += 1
-    worst = max(worst, errs[-1])
+    tally.check(all(e1 > e2 for e1, e2 in zip(errs, errs[1:])) and errs[-1] < 0.01,
+                errs[-1])
 
-    return _result("kernels", t0, checks, failures, worst,
-                   "coefficient exactness, reproduction, positivity, smoothing")
+    return tally.result("coefficient exactness, reproduction, positivity, smoothing")
 
 
 def suite_gleason(seed: int) -> SuiteResult:
     """Part-distance closed values, disc monotonicity, and the trivial-part
     consistency check."""
-    t0 = time.perf_counter()
-    checks = 0
-    failures = 0
-    worst = -math.inf
+    tally = _Tally("gleason")
 
     def check(val, expect, tol):
-        nonlocal checks, failures, worst
-        checks += 1
-        err = abs(val - expect)
-        worst = max(worst, err)
-        if err > tol:
-            failures += 1
+        tally.check(abs(val - expect) <= tol, abs(val - expect))
 
     lo, hi = gleason.gleason_distance_finite(fm.FiniteAlgebra(2, "weighted_l1"), 1, 2)
     check(lo, 1.0, 1e-8)
@@ -271,44 +246,28 @@ def suite_gleason(seed: int) -> SuiteResult:
         fm.FiniteAlgebra(2, "weighted_sup", weights=[2, 1]), 1, 2)
     check(lo, 1.5, 1e-8)
 
-    def disc_closed(rho):
-        return 2 * (1 - math.sqrt(1 - rho * rho)) / rho
-
     prev = 0.0
     for lam2 in (0.3, 0.5, 0.7, 0.9, 0.99):
         lo, hi = gleason.gleason_distance_hardy(0.0, lam2, 1e-6)
-        check(lo, disc_closed(lam2), 1e-4)
-        checks += 1
-        if lo <= prev:
-            failures += 1
+        check(lo, 2 * (1 - math.sqrt(1 - lam2 * lam2)) / lam2, 1e-4)  # closed form
+        tally.check(lo > prev)
         prev = lo
 
     rep = gleason.certify_trivial_parts(fm.FiniteAlgebra(3, "weighted_sup"), [1, 2, 3])
-    checks += 1
-    if not (rep["claimed_np_infty"] and rep["all_pairs_certified_trivial"]
-            and rep["consistent"]):
-        failures += 1
+    tally.check(rep["claimed_np_infty"] and rep["all_pairs_certified_trivial"]
+                and rep["consistent"])
     rep = gleason.certify_trivial_parts(fm.FiniteAlgebra(2, "weighted_l1"), [1, 2])
-    checks += 1
-    if rep["claimed_np_infty"] or rep["all_pairs_certified_trivial"] \
-            or not rep["consistent"]:
-        failures += 1
+    tally.check(not rep["claimed_np_infty"] and not rep["all_pairs_certified_trivial"]
+                and rep["consistent"])
     rep = gleason.certify_trivial_parts("hardy", [0.0, 0.5])
-    checks += 1
-    if rep["pairs"][0]["np_value"] <= 1.0 or not rep["consistent"]:
-        failures += 1
+    tally.check(rep["pairs"][0]["np_value"] > 1.0 and rep["consistent"])
 
     report = gleason.part_partition("hardy", [0.0, 0.3, 0.6])
-    checks += 1
-    if report.partition != ((0, 1, 2),):
-        failures += 1
+    tally.check(report.partition == ((0, 1, 2),))
     report = gleason.part_partition(fm.FiniteAlgebra(2, "weighted_sup"), [1, 2])
-    checks += 1
-    if report.partition != ((0,), (1,)):
-        failures += 1
+    tally.check(report.partition == ((0,), (1,)))
 
-    return _result("gleason", t0, checks, failures, worst,
-                   "closed part distances, disc monotonicity, trivial-part checks")
+    return tally.result("closed part distances, disc monotonicity, trivial-part checks")
 
 
 def suite_np_infty(seed: int) -> SuiteResult:
@@ -317,57 +276,45 @@ def suite_np_infty(seed: int) -> SuiteResult:
     at sup 1, unit-weight sup gives none, and ``np_norm_closed_form``
     reproduces a witness's value.  No draw is random, so ``seed`` is
     unused."""
-    t0 = time.perf_counter()
-    checks = 0
-    failures = 0
-    worst = -math.inf
+    tally = _Tally("np_infty")
 
     l1 = fm.FiniteAlgebra(2, "weighted_l1")
     v = fm.np_infty_test(l1)
-    checks += 1
     if v.is_np_infty:
-        failures += 1
+        tally.check(False)
     else:
-        gap = v.witness["np_value"] - v.witness["sup_value"]
-        worst = max(worst, abs(gap - 1.0))
-        if abs(v.witness["np_value"] - 2.0) > 1e-10 \
-                or abs(v.witness["sup_value"] - 1.0) > 1e-10:
-            failures += 1
+        np_value, sup_value = v.witness["np_value"], v.witness["sup_value"]
+        tally.check(abs(np_value - 2.0) <= 1e-10 and abs(sup_value - 1.0) <= 1e-10,
+                    abs(np_value - sup_value - 1.0))
 
     v2 = fm.np_infty_test(fm.FiniteAlgebra(2, "weighted_sup", weights=[2, 1]))
-    checks += 1
-    if v2.is_np_infty or abs(v2.witness["np_value"] - 2.0) > 1e-10:
-        failures += 1
+    tally.check(not v2.is_np_infty and abs(v2.witness["np_value"] - 2.0) <= 1e-10)
 
-    checks += 1
-    if not fm.np_infty_test(fm.FiniteAlgebra(3, "weighted_sup")).is_np_infty:
-        failures += 1
+    tally.check(fm.np_infty_test(fm.FiniteAlgebra(3, "weighted_sup")).is_np_infty)
 
     # witness recomputation exhibits the same gap
     if v.witness is not None:
         r = fm.np_norm_closed_form(l1, v.witness["subset"], v.witness["targets"])
-        checks += 1
         drift = abs(r.upper - v.witness["np_value"])
-        worst = max(worst, drift)
-        if drift > 1e-10:
-            failures += 1
+        tally.check(drift <= 1e-10, drift)
 
-    return _result("np_infty", t0, checks, failures, worst,
-                   "sup-norm-property verdicts and witnesses from the closed forms")
+    return tally.result("sup-norm-property verdicts and witnesses from the closed forms")
+
+
+_BY_NAME = {
+    "remark1": suite_remark1,
+    "monotone_feasibility": suite_monotone_feasibility,
+    "oracle_equivalence": suite_oracle_equivalence,
+    "kernels": suite_kernels,
+    "gleason": suite_gleason,
+    "np_infty": suite_np_infty,
+}
+SUITES = (*_BY_NAME, "all")
 
 
 def run_suite(name: str, seed: int = 1) -> list[SuiteResult]:
-    """Run one named suite (or all of them, in declaration order)."""
+    """Run one named suite (or all of them, in table order)."""
     if name not in SUITES:
         raise ValueError(f"unknown suite {name!r}; choose from {SUITES}")
-    table = {
-        "remark1": suite_remark1,
-        "monotone_feasibility": suite_monotone_feasibility,
-        "oracle_equivalence": suite_oracle_equivalence,
-        "kernels": suite_kernels,
-        "gleason": suite_gleason,
-        "np_infty": suite_np_infty,
-    }
-    if name == "all":
-        return [table[s](seed) for s in SUITES if s != "all"]
-    return [table[name](seed)]
+    suites = _BY_NAME.values() if name == "all" else [_BY_NAME[name]]
+    return [suite(seed) for suite in suites]

@@ -349,6 +349,15 @@ def test_scaled_certificate_rejected():
         dual_certificate_check(lie)
 
 
+@pytest.mark.parametrize("field", ["bound", "certified_sup"])
+def test_certificate_check_rejects_non_finite_claim(field):
+    cert = analytic_wiener_certificate([0.3, -0.2], [1, 0.5], [0.7, -0.1])
+    claim = {"bound": cert.bound, "certified_sup": cert.certified_sup, field: np.nan}
+    lie = DualCertificate(cert.b, claim["certified_sup"], claim["bound"], cert.meta)
+    with pytest.raises(CertificateRejected, match="not finite"):
+        dual_certificate_check(lie)
+
+
 def test_analytic_certificate_recheck():
     lam = np.array([0.0, 0.5])
     a = np.array([0.0, 0.25])

@@ -1,8 +1,9 @@
 """Bad input raises its ValidationError subclass on every public entry point.
 
 Each row is one entry point and one bad value: a NaN site, an infinite
-target, a non-integer frequency, coordinate or dimension, a non-finite
-weight or exponent, a duplicate site or a target count that does not match.
+target, a non-integer frequency, coordinate, dimension, kernel order or grid
+size, a basis that is not 2-D, a non-finite weight or exponent, a duplicate
+site or a target count that does not match.
 The rules live in ``core.check_sites``, ``core.check_targets``,
 ``core.check_tolerance`` and ``core.check_dimension`` (``core._integer`` for
 ``TorusMeasure.fourier``, whose frequencies may repeat).  An entry point that
@@ -12,6 +13,7 @@ never returns, so each row runs under a one-second deadline.
 
 import json
 
+import numpy as np
 import pytest
 
 from picknorm import (
@@ -24,9 +26,12 @@ from picknorm import (
     build_pick_matrix,
     certify_trivial_parts,
     compute_np_norm,
+    convolve,
     gleason_distance_finite,
     gleason_distance_hardy,
     is_feasible,
+    kernel_coeffs,
+    kernel_l1_norm,
     np_norm_analytic_wiener,
     np_norm_closed_form,
     np_norm_generic,
@@ -34,6 +39,7 @@ from picknorm import (
     np_norm_l1_torus,
     np_norm_wiener,
     part_partition,
+    scattered_contradiction_check,
     smoothing_chain,
     unit_point_mass,
 )
@@ -107,6 +113,8 @@ ROWS = [
     ("algebra-non-integer-dimension", lambda: FiniteAlgebra(2.7, "weighted_sup"),
      DomainViolation),
     ("algebra-nan-dimension", lambda: FiniteAlgebra(NAN, "weighted_sup"), DomainViolation),
+    ("scattered-1d-basis",
+     lambda: scattered_contradiction_check(np.array([1.0, 3.0])), DomainViolation),
     # Gleason parts
     ("distance_hardy-nan-site", lambda: gleason_distance_hardy(NAN, 0.5), DomainViolation),
     ("distance_hardy-duplicate", lambda: gleason_distance_hardy(0.3, 0.3), DuplicateSite),
@@ -136,6 +144,13 @@ ROWS = [
     ("smoothing_chain-duplicate", lambda: smoothing_chain(unit_point_mass(), [2, 2]),
      DuplicateSite),
     ("fourier-non-integer", lambda: unit_point_mass(0.5).fourier([1.5]), DomainViolation),
+    ("kernel_coeffs-non-integer-order", lambda: kernel_coeffs("fejer", 2.5), DomainViolation),
+    ("kernel_coeffs-bool-order", lambda: kernel_coeffs("dlvp", True), DomainViolation),
+    ("kernel_l1_norm-non-integer-order", lambda: kernel_l1_norm(2.5), DomainViolation),
+    ("convolve-non-integer-grid",
+     lambda: convolve(unit_point_mass(), kernel_coeffs("fejer", 2), 100.5), DomainViolation),
+    ("smoothing_chain-non-integer-order",
+     lambda: smoothing_chain(unit_point_mass(), [0, 1], orders=[2.5, 4]), DomainViolation),
     # problem dispatch
     ("compute-hardy-nan-site",
      lambda: compute_np_norm(problem("hardy", "disc_point", [NAN, 0.5], [1, 2])),
