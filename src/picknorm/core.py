@@ -18,6 +18,7 @@ import cmath
 import math
 import numbers
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import Sequence
 
 import numpy as np
@@ -368,11 +369,94 @@ def finite_algebra(backend: str, params: dict | None, sites: Sequence[int]):
                          basis=params.get("basis"))
 
 
+# The exact answers, stated once.  Each public entry point of the four
+# function-algebra backends calls this right after its input checks and
+# solves only when it returns None.
+
+def _exact_answer(backend: str, sites: np.ndarray, a: np.ndarray,
+                  tolerance: float) -> NormResult | None:
+    """The bracket of a problem whose norm has a closed form, or None.
+
+    ``sites`` and ``a`` have passed ``check_sites`` and ``check_targets``.
+
+    - All targets zero: ``[0, 0]``, method ``zero_targets``.
+    - One site on ``hardy``, ``analytic_wiener``, ``wiener`` or
+      ``l1_torus``: the norm is ``|a|``, attained by ``a`` times the unit
+      element (``a e^{ik theta}`` on the torus); method ``one_site``, with
+      the interpolant's ``support`` and ``coefficients`` as ``analytic_l1``
+      gives them.
+    - Two sites on ``l1_torus``: the norm is ``max(|a_1|, |a_2|)``, attained
+      by the two-atom measure of ``_two_site_torus``; method
+      ``two_site_torus``.
+
+    In the last two cases the norm is ``max_i |a_i|`` exactly, and the
+    bracket is ``max_i`` of ``_modulus_bracket(a_i)``: its lower end is
+    ``sup_lower_bound(a)`` itself unless that float lies above the norm,
+    and then the double below it.  Every answer has zero iterations and no
+    ``dual`` key; one that rounding leaves wider than ``tolerance`` raises
+    SolverStall from ``make_result``.
+    """
+    if not np.any(a):
+        return make_result(0.0, 0.0, 0.0, {"method": "zero_targets"}, 0, tolerance)
+    if len(a) == 1:
+        k = int(sites[0]) if backend == "l1_torus" else 0
+        certificate = {"method": "one_site", "support": [k],
+                       "coefficients": [[float(a[0].real), float(a[0].imag)]]}
+    elif len(a) == 2 and backend == "l1_torus":
+        certificate = _two_site_torus(sites, a)
+    else:
+        return None
+    ends = [_modulus_bracket(complex(z)) for z in a]
+    lower = max(lo for lo, _ in ends)
+    return make_result(lower, max(up for _, up in ends), lower, certificate, 0,
+                       tolerance, note="one ulp of the norm exceeds the tolerance")
+
+
+def _modulus_bracket(z: complex) -> tuple[float, float]:
+    """The doubles next to ``|z|`` on either side, both ``abs(z)`` when that
+    is exact.  ``abs`` is within an ulp of ``|z|``; exact rational
+    arithmetic on the squares decides on which side."""
+    square = Fraction(z.real) ** 2 + Fraction(z.imag) ** 2
+    lo = up = abs(z)
+    while Fraction(lo) ** 2 > square:
+        lo = math.nextafter(lo, 0.0)
+    while Fraction(up) ** 2 < square:
+        up = math.nextafter(up, math.inf)
+    return lo, up
+
+
+def _two_site_torus(ks: np.ndarray, a: np.ndarray) -> dict:
+    """The certificate of a two-site ``l1_torus`` problem.
+
+    For ``k_1 != k_2`` the pairs ``(e^{-ik_1 theta}, e^{-ik_2 theta})``
+    cover the torus, so the norm is ``max(|a_1|, |a_2|)``.  Order the sites
+    so that ``|a_1| >= |a_2|`` and write ``a_2 / a_1 = c e^{i psi}``.  Two
+    atoms at ``theta = -(psi +- arccos c) / (k_2 - k_1)`` with weights
+    ``a_1 e^{ik_1 theta} / 2`` have mass ``|a_1|``, coefficient ``a_1`` at
+    ``k_1`` and ``a_1 c e^{i psi} = a_2`` at ``k_2``.  ``c`` is clamped to
+    1, so ``|a_1| ~ |a_2|`` gives no NaN.  The ``atoms`` payload, shaped
+    like ``torus_l1``'s, gives the angles reduced modulo ``2 pi`` and the
+    weights, both rounded to doubles.
+    """
+    i, j = (0, 1) if abs(a[0]) >= abs(a[1]) else (1, 0)
+    a1, k1, k2 = complex(a[i]), int(ks[i]), int(ks[j])
+    rho = complex(a[j]) / a1
+    alpha = math.acos(min(abs(rho), 1.0))
+    psi = cmath.phase(rho)
+    angles = [(-(psi + s * alpha) / (k2 - k1)) % (2 * math.pi) for s in (1.0, -1.0)]
+    weights = [a1 / 2 * cmath.exp(1j * k1 * t) for t in angles]
+    return {"method": "two_site_torus",
+            "atoms": {"angles": angles,
+                      "weights": [[w.real, w.imag] for w in weights]}}
+
+
 def compute_np_norm(p: InterpolationProblem) -> NormResult:
     """Dispatch to the backend-specific norm computation.
 
     The result satisfies the NormResult invariants; in particular
-    result.lower >= sup_lower_bound(targets) within the tolerance.
+    result.lower >= sup_lower_bound(targets) within the tolerance.  The
+    four function-algebra backends answer the problems of
+    ``_exact_answer`` before any solver.
     """
     validate_problem(p)
 

@@ -8,7 +8,9 @@ with sup-norm <= t and f(lambda_i) = z_i exactly when the matrix
 is positive semidefinite.  The interpolation norm is therefore the infimum
 of the feasible levels t, which this module brackets by bisection.  M(t)
 decomposes as S - t^{-2} D_z S D_z^* with S the positive reproducing-kernel
-matrix, so feasibility is monotone in t and bisection is sound.
+matrix, so feasibility is monotone in t and bisection is sound.  Zero
+targets and one site have exact answers (``core._exact_answer``) and build
+no matrix.
 """
 
 from __future__ import annotations
@@ -22,6 +24,7 @@ from .core import (
     EigensolveFailure,
     NonpositiveLevel,
     NormResult,
+    _exact_answer,
     check_sites,
     check_targets,
     check_tolerance,
@@ -90,6 +93,22 @@ def is_feasible(lambdas, zs, t: float) -> FeasibilityVerdict:
 def np_norm_hardy(lambdas, zs, tolerance: float = 1e-9) -> NormResult:
     """Bracket inf{t > 0 : M(t) is PSD} to within ``tolerance``.
 
+    Inputs pass ``core.check_sites``, ``core.check_targets`` and
+    ``core.check_tolerance``.  Zero targets and one site have exact answers
+    (``core._exact_answer``: methods ``zero_targets`` and ``one_site``,
+    ``iterations = 0``) and build no Pick matrix; every other problem goes
+    to ``_bisect``.
+    """
+    check_tolerance(tolerance)
+    lam = check_sites("hardy", lambdas)
+    z = check_targets(zs, len(lam))
+    exact = _exact_answer("hardy", lam, z, tolerance)
+    return exact if exact is not None else _bisect(lam, z, tolerance)
+
+
+def _bisect(lam: np.ndarray, z: np.ndarray, tolerance: float) -> NormResult:
+    """The bisection behind ``np_norm_hardy``, for checked inputs.
+
     The lower end of the starting bracket is max|z_i| (any smaller t makes a
     diagonal entry of M(t) negative); the upper end is found by doubling.
     On return the upper end is feasible and the lower end is the floor or a
@@ -97,18 +116,9 @@ def np_norm_hardy(lambdas, zs, tolerance: float = 1e-9) -> NormResult:
     lies strictly between the ends (one ulp of a large norm can exceed the
     tolerance); ``core.make_result`` then raises SolverStall carrying a
     bracket still wider than ``tolerance``, its certificate noting the
-    adjacent doubles.  Inputs pass ``core.check_sites``,
-    ``core.check_targets`` and ``core.check_tolerance``.
+    adjacent doubles.
     """
-    check_tolerance(tolerance)
-    lam = check_sites("hardy", lambdas)
-    z = check_targets(zs, len(lam))
-
     zmax = float(np.max(np.abs(z)))
-    if zmax == 0.0:
-        return make_result(0.0, 0.0, 0.0, {"method": "pick_bisection",
-                                           "note": "zero targets"}, 0, tolerance)
-
     lo = zmax
     hi = max(zmax, tolerance)
     iterations = 0

@@ -15,6 +15,7 @@ M-point grid is 1/M.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -39,6 +40,11 @@ class KernelSpec:
     coeffs: dict
 
     def coeff(self, k: int) -> float:
+        """The coefficient at frequency ``k``, a real integer by
+        ``core._integer`` (1.5, NaN and True are rejected, never truncated)."""
+        if not (isinstance(k, numbers.Real) and not isinstance(k, bool)
+                and _integer(complex(k))):
+            raise DomainViolation(f"frequency must be an integer, got {k!r}")
         return self.coeffs.get(int(k), 0.0)
 
     @property

@@ -18,6 +18,10 @@ inflated by the Bernstein derivative factor for the torus backend.  Weak
 duality (every certified bound <= every feasible objective) is asserted on
 each solve by ``core.make_result``, which also raises SolverStall, carrying
 the bracket, when it is wider than the tolerance.
+
+Zero targets, one site and, on ``l1_torus``, two sites have exact answers
+(``core._exact_answer``), which each public entry point returns before any
+LP; the private ``_solve_*`` bodies are the solvers behind them.
 """
 
 from __future__ import annotations
@@ -34,6 +38,7 @@ from .core import (
     NormResult,
     SolverStall,
     TailBoundFailure,
+    _exact_answer,
     check_sites,
     check_targets,
     check_tolerance,
@@ -136,17 +141,23 @@ def np_norm_analytic_wiener(lambdas, targets, tolerance: float = 1e-9) -> NormRe
     SolverStall (TailBoundFailure for the boundary case) carrying it, its
     certificate that of the last round plus a ``note``.  Inputs pass
     ``core.check_sites``, ``core.check_targets`` and
-    ``core.check_tolerance``.
+    ``core.check_tolerance``.  Zero targets and one site have exact answers
+    (``core._exact_answer``: methods ``zero_targets`` and ``one_site``,
+    ``iterations = 0``) and solve no LP.
     """
     check_tolerance(tolerance)
     lam = check_sites("analytic_wiener", lambdas)
     a = check_targets(targets, len(lam))
+    exact = _exact_answer("analytic_wiener", lam, a, tolerance)
+    return exact if exact is not None else _solve_analytic_wiener(lam, a, tolerance)
+
+
+def _solve_analytic_wiener(lam: np.ndarray, a: np.ndarray,
+                           tolerance: float) -> NormResult:
+    """The LP bracket loop behind ``np_norm_analytic_wiener``, for checked
+    inputs."""
     n = len(lam)
     floor = sup_lower_bound(a)
-    if floor == 0.0:
-        return make_result(0.0, 0.0, 0.0, {"method": "analytic_l1",
-                                           "note": "zero targets"}, 0, tolerance)
-
     rmax = float(np.max(np.abs(lam)))
     boundary = rmax >= 1.0 - 1e-14
     plan = plan_for_analytic(lam, tail_margin=min(tolerance, 1e-8) * 1e-2)
@@ -279,17 +290,21 @@ def np_norm_wiener(thetas, targets, tolerance: float = 1e-9) -> NormResult:
     short, or the truncation degree stagnates or reaches 1024) raises
     SolverStall carrying it, its certificate that of the last round plus a
     ``note``.  Inputs pass ``core.check_sites``, ``core.check_targets`` and
-    ``core.check_tolerance``.
+    ``core.check_tolerance``.  Zero targets and one site have exact answers
+    (``core._exact_answer``: methods ``zero_targets`` and ``one_site``,
+    ``iterations = 0``) and solve no LP.
     """
     check_tolerance(tolerance)
     th = check_sites("wiener", thetas)
     a = check_targets(targets, len(th))
-    n = len(th)
-    floor = sup_lower_bound(a)
-    if floor == 0.0:
-        return make_result(0.0, 0.0, 0.0, {"method": "wiener_l1",
-                                           "note": "zero targets"}, 0, tolerance)
+    exact = _exact_answer("wiener", th, a, tolerance)
+    return exact if exact is not None else _solve_wiener(th, a, tolerance)
 
+
+def _solve_wiener(th: np.ndarray, a: np.ndarray, tolerance: float) -> NormResult:
+    """The residue reduction or truncated primal behind ``np_norm_wiener``,
+    for checked inputs."""
+    floor = sup_lower_bound(a)
     q = common_period(th)
     if q is not None:
         # exact residue-class reduction: coefficient k acts through k mod q
@@ -518,17 +533,23 @@ def np_norm_l1_torus(ks, targets, tolerance: float = 1e-9) -> NormResult:
     2^25 points, a bracket still wider than ``tolerance`` raises
     SolverStall carrying it, its certificate that of the last round plus a
     ``note``.  Inputs pass ``core.check_sites`` (integer frequencies, never
-    truncated), ``core.check_targets`` and ``core.check_tolerance``.
+    truncated), ``core.check_targets`` and ``core.check_tolerance``.  Zero
+    targets, one site and two sites have exact answers
+    (``core._exact_answer``: methods ``zero_targets``, ``one_site`` and
+    ``two_site_torus``, the last with an ``atoms`` payload shaped like this
+    method's; ``iterations = 0``) and solve no LP.
     """
     check_tolerance(tolerance)
     ks = check_sites("l1_torus", ks)
     a = check_targets(targets, len(ks))
-    n = len(ks)
-    floor = sup_lower_bound(a)
-    if floor == 0.0:
-        return make_result(0.0, 0.0, 0.0, {"method": "torus_l1",
-                                           "note": "zero targets"}, 0, tolerance)
+    exact = _exact_answer("l1_torus", ks, a, tolerance)
+    return exact if exact is not None else _solve_l1_torus(ks, a, tolerance)
 
+
+def _solve_l1_torus(ks: np.ndarray, a: np.ndarray, tolerance: float) -> NormResult:
+    """The dual cut loop and atomic primal behind ``np_norm_l1_torus``, for
+    checked inputs."""
+    floor = sup_lower_bound(a)
     span = int(np.max(ks) - np.min(ks))
     coarse = tolerance >= 1e-3
     fine = _pow2_at_least(max(1024 if coarse else 4096, 64 * (span + 1)))

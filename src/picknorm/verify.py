@@ -47,11 +47,12 @@ class _Tally:
 
     def check(self, ok, slack=None) -> None:
         """Count one check, failed unless ``ok`` is true.  ``ok`` is the
-        condition that must hold, so a NaN comparison in it fails."""
+        condition that must hold, so a NaN comparison in it fails.  A NaN
+        slack sticks as the worst, so the failing suite reports ``nan``."""
         self.checks += 1
         self.failures += not ok
         if slack is not None:
-            self.worst = max(self.worst, slack)
+            self.worst = float(np.maximum(self.worst, slack))
 
     def result(self, detail: str) -> SuiteResult:
         return SuiteResult(name=self.name, passed=self.failures == 0,

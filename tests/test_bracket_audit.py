@@ -35,3 +35,5 @@ def test_checkout_against_itself():
     assert proc.returncode == 0, proc.stdout + proc.stderr
     total = next(line for line in proc.stdout.splitlines() if line.startswith("all "))
     assert total.split()[1:] == ["16", "0", "0", "0"]
+    assert "first wider: none" in proc.stdout.splitlines()
+    assert "first outcome: none" in proc.stdout.splitlines()

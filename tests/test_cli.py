@@ -41,6 +41,18 @@ def test_compute_hardy_json(tmp_path, capsys):
     assert doc["norm_upper"] >= doc["norm_lower"]
 
 
+def test_compute_prints_the_exact_certificate(tmp_path, capsys):
+    doc = {"backend": "l1_torus", "sites": [-1, 2], "targets": [[0.0, 1.0], [0.5, 0.0]]}
+    code, out, _ = run_cli(capsys, "compute", write(tmp_path, "p.json", doc))
+    assert code == 0
+    doc = json.loads(out)
+    assert doc["norm_lower"] <= 1.0 <= doc["norm_upper"]
+    assert doc["iterations"] == 0
+    cert = doc["certificate"]
+    assert cert["method"] == "two_site_torus"
+    assert len(cert["atoms"]["angles"]) == len(cert["atoms"]["weights"]) == 2
+
+
 def test_compute_byte_deterministic(tmp_path, capsys):
     path = write(tmp_path, "p.json", HARDY_DOC)
     _, out1, _ = run_cli(capsys, "compute", path)

@@ -1,22 +1,30 @@
+import math
 import os
 import subprocess
 import sys
 from pathlib import Path
 
+import mpmath
 import numpy as np
 import pytest
 
 from picknorm import (
     CertificateRejected,
     DualCertificate,
+    InterpolationProblem,
+    Site,
     SolverStall,
     TailBoundFailure,
     analytic_wiener_certificate,
+    compute_np_norm,
     dual_certificate_check,
+    hardy,
     l1_torus_certificate,
     np_norm_analytic_wiener,
+    np_norm_hardy,
     np_norm_l1_torus,
     np_norm_wiener,
+    seqalg,
     wiener_certificate,
 )
 from picknorm.seqalg import _CHUNK, _grid_max, common_period, plan_for_analytic
@@ -383,3 +391,149 @@ def test_floor_certificates_single_coordinate():
     assert cert.bound == pytest.approx(1.5, abs=1e-12)
     cert = l1_torus_certificate([2, 7], [0.5, 2.5], [0.0, 1.0])
     assert cert.bound == pytest.approx(2.5, abs=1e-12)
+
+
+# ----------------------------------------------------------------------
+# exact answers before any solver (core._exact_answer)
+# ----------------------------------------------------------------------
+
+def _contains(r, targets):
+    """Whether the bracket contains max_i |a_i| at 50 digits."""
+    with mpmath.workdps(50):
+        norm = max(abs(mpmath.mpc(complex(z))) for z in targets)
+        return mpmath.mpf(r.lower) <= norm <= mpmath.mpf(r.upper)
+
+
+def _targets(rng, n):
+    scale = 10.0 ** rng.uniform(-3, 3)
+    return scale * (rng.standard_normal(n) + 1j * rng.standard_normal(n))
+
+
+def _one_site_draw(backend, rng):
+    if backend == "hardy":
+        site = rng.uniform(0, 0.95) * np.exp(2j * np.pi * rng.uniform())
+    elif backend == "analytic_wiener":  # about a quarter on the unit circle
+        site = 2.0
+        while abs(site) > 1.0:  # a rounded e^{i phi} can lie an ulp outside
+            site = min(1.0, rng.uniform(0, 1.3)) * np.exp(2j * np.pi * rng.uniform())
+    elif backend == "wiener":
+        site = rng.uniform(0, 2 * np.pi)
+    else:
+        site = int(rng.integers(-50, 51))
+    return [site], _targets(rng, 1)
+
+
+def _two_site_torus_draw(rng):
+    ks = rng.choice(np.arange(-6, 7), size=2, replace=False)
+    a = _targets(rng, 2)
+    u = rng.uniform()
+    if u < 0.2:    # equal moduli, where arccos c meets its clamp
+        a[1] = a[0] * np.exp(2j * np.pi * rng.uniform())
+    elif u < 0.3:  # equal targets: both atoms at one angle
+        a[1] = a[0]
+    elif u < 0.4:
+        a[rng.integers(2)] = 0.0
+    return ks, a
+
+
+_PUBLIC = {"hardy": np_norm_hardy, "analytic_wiener": np_norm_analytic_wiener,
+           "wiener": np_norm_wiener, "l1_torus": np_norm_l1_torus}
+_PRIVATE = {"hardy": hardy._bisect, "analytic_wiener": seqalg._solve_analytic_wiener,
+            "wiener": seqalg._solve_wiener, "l1_torus": seqalg._solve_l1_torus}
+
+
+def _assert_exact(r, targets, method):
+    assert r.certificate["method"] == method
+    assert r.iterations == 0
+    assert "dual" not in r.certificate
+    assert r.upper - r.lower <= 1e-9
+    floor = max(abs(complex(z)) for z in targets)
+    assert math.nextafter(floor, 0.0) <= r.lower <= floor
+    assert _contains(r, targets), (r, targets)
+
+
+@pytest.mark.parametrize("draw, theta, target", [
+    (317, 1.7135959928671598, -1.0560399345418816 + 1.1469774496041436j),
+    (495, 2.0943951023931953, 0.9499202366186454 + 1.4391536576798998j),
+])
+def test_one_site_wiener_draws_close(draw, theta, target):
+    # tight_seq draws 317 and 495 at seed 1 stalled at 1e-9 in the solver,
+    # the first at [1.5590951264267512, 1.5590951285529735]
+    r = np_norm_wiener([theta], [target], 1e-9)
+    _assert_exact(r, [target], "one_site")
+
+
+@pytest.mark.parametrize("backend", sorted(_PUBLIC))
+def test_one_site_contains_the_norm(backend):
+    rng = np.random.default_rng(sorted(_PUBLIC).index(backend))
+    for _ in range(1000):
+        sites, a = _one_site_draw(backend, rng)
+        r = _PUBLIC[backend](sites, a, 1e-9)
+        _assert_exact(r, a, "one_site")
+        k = sites[0] if backend == "l1_torus" else 0
+        assert r.certificate["support"] == [k]
+        assert r.certificate["coefficients"] == [[a[0].real, a[0].imag]]
+
+
+def test_two_site_torus_contains_the_norm():
+    rng = np.random.default_rng(7)
+    for _ in range(1000):
+        ks, a = _two_site_torus_draw(rng)
+        r = np_norm_l1_torus(ks, a, 1e-9)
+        _assert_exact(r, a, "two_site_torus")
+        # the atoms interpolate to rounding, with mass max|a_i|
+        atoms = r.certificate["atoms"]
+        th = np.array(atoms["angles"])
+        w = np.array([complex(*z) for z in atoms["weights"]])
+        assert np.all((0 <= th) & (th <= 2 * np.pi))
+        floor = np.max(np.abs(a))
+        assert np.sum(np.abs(w)) == pytest.approx(floor, rel=1e-14)
+        assert np.max(np.abs(np.exp(-1j * np.outer(ks, th)) @ w - a)) <= 1e-13 * floor
+
+
+def test_exact_answers_run_no_solver(monkeypatch):
+    from picknorm import _lp
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("a reduced problem reached a solver")
+
+    monkeypatch.setattr(_lp, "solve_lp", forbidden)
+    monkeypatch.setattr(hardy, "is_feasible", forbidden)
+    rng = np.random.default_rng(11)
+    for backend, kind in (("hardy", "disc_point"), ("analytic_wiener", "disc_point"),
+                          ("wiener", "circle_angle"), ("l1_torus", "integer_character")):
+        for _ in range(20):
+            sites, a = _one_site_draw(backend, rng)
+            p = InterpolationProblem(backend, (Site(kind, sites[0]),), (complex(a[0]),))
+            assert compute_np_norm(p).certificate["method"] == "one_site"
+        two = {"hardy": [0, 0.5], "analytic_wiener": [0, 1], "wiener": [0, 1.0],
+               "l1_torus": [-2, 5]}[backend]
+        zero = _PUBLIC[backend](two, [0.0, -0.0])
+        assert (zero.lower, zero.upper, zero.iterations) == (0.0, 0.0, 0)
+        assert zero.certificate == {"method": "zero_targets"}
+    for _ in range(20):
+        ks, a = _two_site_torus_draw(rng)
+        p = InterpolationProblem("l1_torus", tuple(Site("integer_character", int(k))
+                                                   for k in ks), tuple(a))
+        assert compute_np_norm(p).certificate["method"] in ("two_site_torus", "zero_targets")
+    # the solvers are still reached where no exact answer applies
+    with pytest.raises(AssertionError, match="reached a solver"):
+        np_norm_l1_torus([0, 1, 2], [1, 1, -1], 1e-5)
+    with pytest.raises(AssertionError, match="reached a solver"):
+        np_norm_hardy([0, 0.5], [1, -1])
+
+
+@pytest.mark.parametrize("backend, tolerance", [
+    ("hardy", 1e-9), ("analytic_wiener", 1e-6), ("wiener", 1e-6), ("l1_torus", 1e-6)])
+def test_solver_bodies_agree_with_exact_answers(backend, tolerance):
+    rng = np.random.default_rng(13)
+    draws = [_one_site_draw(backend, rng) for _ in range(8)]
+    if backend == "l1_torus":
+        draws += [_two_site_torus_draw(rng) for _ in range(8)]
+    for sites, a in draws:
+        a = a / max(1.0, np.max(np.abs(a)))  # keep the absolute tolerance meaningful
+        exact = _PUBLIC[backend](sites, a, tolerance)
+        body = _PRIVATE[backend](np.asarray(sites), a, tolerance)
+        assert body.certificate["method"] != exact.certificate["method"]
+        assert abs(body.lower - exact.lower) <= tolerance
+        assert abs(body.upper - exact.upper) <= tolerance

@@ -31,8 +31,10 @@ CASES = [
     ("wiener-incommensurate", SolverStall, 1e-9,
      lambda: np_norm_wiener([0.0, 1.0], [1.0, -1.0], 1e-9)),
     # certifying the first round's gap would need a grid beyond 2^25 points
+    # (three sites: a two-site torus problem has an exact answer)
     ("torus-grid-cap", SolverStall, 1e-9,
-     lambda: np_norm_l1_torus([-5, 3], [0.42 - 0.45j, -0.57 - 0.22j], 1e-9)),
+     lambda: np_norm_l1_torus([3, 5, 1], [-0.5 + 1.59j, 0.33 - 1.19j, -0.61 + 0.35j],
+                              1e-9)),
     # floor_mix generic draws 261 and 336 (seed 1): the cut loop stops short
     ("generic-cut-loop-261", SolverStall, 1e-10,
      lambda: np_norm_generic(FiniteAlgebra(1, "weighted_sup", weights=[2.392887468465484]),

@@ -6,9 +6,10 @@ size, a basis that is not 2-D, a non-finite weight or exponent, a duplicate
 site or a target count that does not match.
 The rules live in ``core.check_sites``, ``core.check_targets``,
 ``core.check_tolerance`` and ``core.check_dimension`` (``core._integer`` for
-``TorusMeasure.fourier``, whose frequencies may repeat).  An entry point that
-skips them truncates the value, solves with it, fails inside a solver or
-never returns, so each row runs under a one-second deadline.
+``TorusMeasure.fourier``, whose frequencies may repeat, and for
+``KernelSpec.coeff``).  An entry point that skips them truncates the value,
+solves with it, fails inside a solver or never returns, so each row runs
+under a one-second deadline.
 """
 
 import json
@@ -146,6 +147,8 @@ ROWS = [
     ("fourier-non-integer", lambda: unit_point_mass(0.5).fourier([1.5]), DomainViolation),
     ("kernel_coeffs-non-integer-order", lambda: kernel_coeffs("fejer", 2.5), DomainViolation),
     ("kernel_coeffs-bool-order", lambda: kernel_coeffs("dlvp", True), DomainViolation),
+    ("coeff-non-integer", lambda: kernel_coeffs("dlvp", 2).coeff(1.5), DomainViolation),
+    ("coeff-bool", lambda: kernel_coeffs("dlvp", 2).coeff(True), DomainViolation),
     ("kernel_l1_norm-non-integer-order", lambda: kernel_l1_norm(2.5), DomainViolation),
     ("convolve-non-integer-grid",
      lambda: convolve(unit_point_mass(), kernel_coeffs("fejer", 2), 100.5), DomainViolation),

@@ -14,6 +14,7 @@ def test_nan_brackets_fail_remark1(monkeypatch):
     res = verify.suite_remark1(seed=1, per_backend=3)
     assert not res.passed
     assert res.failures == res.checks == 21
+    assert math.isnan(res.worst_slack)
 
 
 def test_nan_brackets_fail_oracle_equivalence(monkeypatch):

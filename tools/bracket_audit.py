@@ -10,9 +10,10 @@ the first ``--count`` problems of that checkout's
 ``perfbench/oracles.check`` finds.  The two subprocesses run side by side.
 The report gives, per problem kind, how many brackets are identical (both
 ends bit for bit), narrower (no end moved outward), wider (some end moved
-outward) or changed outcome, the widest widening, and the CHANGE side's
-hard oracle failures.  It imports only from ``perfbench/`` and writes
-nothing there.
+outward) or changed outcome, the widest widening, the indices of the first
+few problems that got wider or changed outcome (to re-check by hand), and
+the CHANGE side's hard oracle failures.  It imports only from
+``perfbench/`` and writes nothing there.
 
 The exit code is 0 when no bracket got wider, no outcome changed and the
 change side has no hard oracle failure, and 1 otherwise.
@@ -30,6 +31,7 @@ from pathlib import Path
 
 ONE_THREAD = {"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1",
               "MKL_NUM_THREADS": "1"}
+FIRST = 10  # problems listed per class, to re-check by hand
 
 
 def solve_checkout(checkout: str, workload: str, seed: int, count: int) -> None:
@@ -99,11 +101,14 @@ def main(argv=None) -> int:
 
     counts: dict[str, Counter] = {}
     widest = (0.0, None)
+    first: dict[str, list[str]] = {"wider": [], "outcome": []}
     for i, (b, c) in enumerate(zip(base, change)):
         cls, widening = classify(b, c)
         counts.setdefault(b["kind"], Counter())[cls] += 1
         if widening > widest[0]:
             widest = (widening, f"problem {i} ({b['kind']})")
+        if cls in first and len(first[cls]) < FIRST:
+            first[cls].append(f"{i} ({b['kind']})")
     hard = [f"problem {i} ({c['kind']}): {why}"
             for i, c in enumerate(change) for why in c["hard"]]
 
@@ -116,6 +121,8 @@ def main(argv=None) -> int:
     print(f"{'all':<22}" + "".join(f"{total[k]:>11}" for k in classes))
     print("widest widening: " + (f"{widest[0]:.3e} at {widest[1]}"
                                   if widest[1] else "none"))
+    for cls, where in first.items():
+        print(f"first {cls}: " + (", ".join(where) if where else "none"))
     print(f"hard oracle failures: change {len(hard)}, "
           f"base {sum(len(b['hard']) for b in base)}")
     for line in hard:
