@@ -37,55 +37,46 @@ from __future__ import annotations
 
 import numpy as np
 from scipy import sparse
-from scipy.optimize import OptimizeResult, linprog
+from scipy.optimize import OptimizeResult
+# scipy's private HiGHS bindings, the module its own HiGHS method goes through
+from scipy.optimize._highspy import _highs_wrapper
 
 from .core import InfeasibleCoset, SolverStall
 
-try:
-    # scipy's private HiGHS bindings, the module linprog itself goes through
-    from scipy.optimize._highspy import _highs_wrapper
-    _HIGHS_OPTIONS = _highs_wrapper._h.HighsOptions()
-    _HIGHS_OPTIONS.presolve = "on"
-    _HIGHS_OPTIONS.output_flag = _HIGHS_OPTIONS.log_to_console = False
-    _HIGHS_OPTIONS.simplex_strategy = (
-        _highs_wrapper._h.simplex_constants.SimplexStrategy.kSimplexStrategyDual)
-except (ImportError, AttributeError):
-    _highs_wrapper = None
+_HIGHS_OPTIONS = _highs_wrapper._h.HighsOptions()
+_HIGHS_OPTIONS.presolve = "on"
+_HIGHS_OPTIONS.output_flag = _HIGHS_OPTIONS.log_to_console = False
+_HIGHS_OPTIONS.simplex_strategy = (
+    _highs_wrapper._h.simplex_constants.SimplexStrategy.kSimplexStrategyDual)
 
 
 def solve_lp(c, A_ub, b_ub, A_eq, b_eq, bounds, *, model=None):
     """min c.x s.t. A_ub x <= b_ub, A_eq x = b_eq, bounds; HiGHS dual simplex.
 
-    Calls scipy's HiGHS bindings directly, with the options linprog(highs)
-    uses, and skips linprog's input parsing and its dual and marginal
+    Calls scipy's HiGHS bindings directly, with the options scipy's own
+    HiGHS method uses, and skips its input parsing and its dual and marginal
     bookkeeping, which nothing here reads.  A new model gets its costs and
     bounds through ``addCols``, then the ``A_ub`` and the ``A_eq`` block
-    through ``addRows``, as ``_csr`` lays them out.  Without those bindings
-    (a scipy without ``scipy.optimize._highspy._highs_wrapper``), it calls
-    linprog(method="highs"); both paths solve the same LP.
+    through ``addRows``, as ``_csr`` lays them out.
 
-    ``model``, the ``model`` of an earlier direct result, re-solves that LP
-    with the rows ``A_ub x <= b_ub`` appended (``c``, ``A_eq``, ``b_eq`` and
+    ``model``, the ``model`` of an earlier result, re-solves that LP with
+    the rows ``A_ub x <= b_ub`` appended (``c``, ``A_eq``, ``b_eq`` and
     ``bounds`` are already in it): HiGHS keeps its optimal basis and
-    warm-starts dual simplex without presolve.  Passing ``A_eq`` with it, or
-    passing it without the direct bindings, raises ``ValueError``.
+    warm-starts dual simplex without presolve.  Passing ``A_eq`` with it
+    raises ``ValueError``.
 
-    Returns an object with ``x``, ``fun`` and ``status`` for an optimal
-    point, and on the direct path the solved HiGHS ``model``.  Its status is
-    0 on the direct path; linprog sets 4 ("numerical difficulties") where its
-    own re-check finds the point outside the constraints by more than
-    3.2e-4, and that is accepted too: nothing downstream trusts solver
-    feasibility claims — bounds are always re-certified by direct
-    evaluation, and equality residuals are repaired.  An infeasible LP
-    raises ``InfeasibleCoset``; every other outcome raises ``SolverStall``
-    naming the solver's status.
+    Returns an object with ``x``, ``fun``, the solved HiGHS ``model`` and
+    ``status``, which is always 0 (optimal).  Nothing here reads ``status``;
+    it stays because the benchmark's tracer (``perfbench/tracing.py``)
+    counts results by it.  Nothing downstream trusts solver feasibility claims:
+    bounds are always re-certified by direct evaluation, and equality
+    residuals are repaired.  An infeasible LP raises ``InfeasibleCoset``;
+    every other outcome raises ``SolverStall`` naming the solver's status.
     """
-    if model is not None and (_highs_wrapper is None or A_eq is not None):
-        raise ValueError("model= takes only appended A_ub rows, on the direct path")
-    if _highs_wrapper is None:
-        return _solve_linprog(c, A_ub, b_ub, A_eq, b_eq, bounds)
-    # looked up per call, as linprog does, so a tracer that swaps the
-    # module handle sees every solve
+    if model is not None and A_eq is not None:
+        raise ValueError("model= takes only appended A_ub rows")
+    # looked up per call, as scipy does, so a tracer that swaps the module
+    # handle sees every solve
     h = _highs_wrapper._h
     highs = model
     statuses = []
@@ -136,18 +127,6 @@ def _csr(A):
             np.asarray(vals, dtype=float))
 
 
-def _solve_linprog(c, A_ub, b_ub, A_eq, b_eq, bounds):
-    res = linprog(c, A_ub=A_ub, b_ub=b_ub, A_eq=A_eq, b_eq=b_eq,
-                  bounds=bounds, method="highs")
-    if res.status == 2:
-        raise InfeasibleCoset("linear system has no solution")
-    if res.status == 4 and res.x is not None:
-        return res
-    if res.status != 0:
-        raise SolverStall(f"LP solver failed (status {res.status}): {res.message}")
-    return res
-
-
 class CutLP:
     """Kelley cut LP over u in C^d for the moduli of complex affine maps.
 
@@ -166,8 +145,7 @@ class CutLP:
     and keeps it; each later one appends the rows of the phases (and bounded
     maps) added since, and warm-starts from the previous basis, so the
     returned vertex depends on the order of solves and additions.  Setting
-    ``model`` to None rebuilds the whole LP at the next solve; without
-    scipy's private HiGHS bindings every solve does.
+    ``model`` to None rebuilds the whole LP at the next solve.
 
     Callers compare moduli as np.hypot(Re, Im), which rounds as the scalar
     abs() does (numpy's vectorized complex abs can differ in the last bit);
@@ -222,9 +200,9 @@ class CutLP:
     def solve(self):
         """Solve with every cut so far; returns (u, result).
 
-        Without a live model (the first solve, or every solve on the linprog
-        fallback) it builds the LP with every phase and the caller's rows;
-        with one it appends only the phases added since.
+        Without a live model (the first solve, or after ``model`` is set to
+        None) it builds the LP with every phase and the caller's rows; with
+        one it appends only the phases added since.
         """
         cost, A_ub, b_ub, A_eq, b_eq, bounds = self.lp
         if self.model is None:
@@ -234,7 +212,7 @@ class CutLP:
         A, rhs = self._rows([ph[s:] for ph, s in zip(self.phases, self.sent)],
                             len(cost), A_ub, b_ub)
         res = solve_lp(cost, A, rhs, A_eq, b_eq, bounds, model=self.model)
-        self.model = res.get("model")  # None from linprog
+        self.model = res.model
         self.sent = [len(ph) for ph in self.phases]
         return res.x[:self.d] + 1j * res.x[self.d:2 * self.d], res
 

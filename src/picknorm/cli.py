@@ -45,11 +45,16 @@ class ParseError(ValueError):
         self.path = path
 
 
+def _is_number(value) -> bool:
+    """A JSON number: ``true`` and ``false`` parse to bools, which are ints
+    to Python, and are not numbers here."""
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
 def _as_complex(value, path: str) -> complex:
-    if isinstance(value, (int, float)):
+    if _is_number(value):
         return complex(value)
-    if (isinstance(value, list) and len(value) == 2
-            and all(isinstance(x, (int, float)) for x in value)):
+    if isinstance(value, list) and len(value) == 2 and all(map(_is_number, value)):
         return complex(value[0], value[1])
     raise ParseError(path, "expected a number or [re, im] pair")
 
@@ -80,7 +85,7 @@ def parse_problem(doc: dict, tol_override: float | None = None) -> Interpolation
     tolerance = doc.get("tolerance", 1e-9)
     if tol_override is not None:
         tolerance = tol_override
-    if not isinstance(tolerance, (int, float)):
+    if not _is_number(tolerance):
         raise ParseError("tolerance", "expected a number")
 
     return InterpolationProblem(backend=backend, sites=tuple(sites),
@@ -97,11 +102,11 @@ def _parse_sites(kind: str, raw: list) -> list[Site]:
         if kind == "disc_point":
             sites.append(Site(kind, _as_complex(rv, path)))
         elif kind == "circle_angle":
-            if not isinstance(rv, (int, float)):
+            if not _is_number(rv):
                 raise ParseError(path, "expected an angle in radians")
             sites.append(Site(kind, float(rv)))
         else:
-            if not isinstance(rv, int):
+            if not isinstance(rv, int) or isinstance(rv, bool):
                 raise ParseError(path, "expected an integer")
             sites.append(Site(kind, int(rv)))
     return sites
@@ -251,6 +256,14 @@ def cmd_kernel_probe(args) -> int:
     return EXIT_OK
 
 
+def _seed(text: str) -> int:
+    """A ``--seed`` value: numpy's generators take only seeds >= 0."""
+    seed = int(text)
+    if seed < 0:
+        raise argparse.ArgumentTypeError(f"seed must be >= 0, got {seed}")
+    return seed
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="picknorm",
@@ -279,7 +292,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="run a named invariant suite")
     p.add_argument("suite", choices=list(verify.SUITES))
-    p.add_argument("--seed", type=int, default=1)
+    p.add_argument("--seed", type=_seed, default=1)
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("kernel-probe",

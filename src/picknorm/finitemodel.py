@@ -74,7 +74,7 @@ class FiniteAlgebra:
     """
 
     def __init__(self, dimension: int, norm_kind: str, weights=None,
-                 p: float | None = None, basis=None, closure_check: bool = True):
+                 p: float | None = None, basis=None):
         if norm_kind not in NORM_KINDS:
             raise DomainViolation(f"unknown norm kind {norm_kind!r}")
         self.dimension = check_dimension(dimension)
@@ -107,17 +107,17 @@ class FiniteAlgebra:
             self.basis = None
         else:
             self.basis = _basis_rows(basis, self.dimension)
-            if closure_check:
-                _blocks(self)
+            _blocks(self)
 
     @classmethod
     def subspace(cls, basis, dimension=None, norm_kind: str = "weighted_sup",
                  weights=None, p: float | None = None) -> "FiniteAlgebra":
         """A plain subspace (closure check skipped) for annihilator probes."""
         B = _basis_rows(basis)
-        dim = B.shape[1] if dimension is None else dimension
-        return cls(dim, norm_kind, weights=weights, p=p, basis=B,
-                   closure_check=False)
+        alg = cls(B.shape[1] if dimension is None else dimension, norm_kind,
+                  weights=weights, p=p)
+        alg.basis = _basis_rows(B, alg.dimension)
+        return alg
 
     def norm(self, x) -> float:
         x = np.asarray(x, dtype=complex).ravel()

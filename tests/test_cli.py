@@ -81,6 +81,25 @@ def test_compute_parse_error_names_field(tmp_path, capsys):
     assert "targets[1]" in err
 
 
+@pytest.mark.parametrize("doc, field", [
+    ({"backend": "l1_torus", "sites": [True, 3], "targets": [1, 2],
+      "tolerance": 1e-3}, "sites[0]"),
+    ({"backend": "wiener", "sites": [0.5, False], "targets": [1, 2]}, "sites[1]"),
+    ({"backend": "hardy", "sites": [True, 0.5], "targets": [1, 2]}, "sites[0]"),
+    (dict(HARDY_DOC, targets=[1, True]), "targets[1]"),
+    (dict(HARDY_DOC, targets=[[0.0, 0.0], [False, 0.25]]), "targets[1]"),
+    (dict(HARDY_DOC, tolerance=True), "tolerance"),
+    ({"backend": "finite_sup", "sites": [1, 2], "targets": [1, -1],
+      "backend_params": {"basis": [[1, 0], [0, True]]}}, "backend_params.basis[1][1]"),
+], ids=["integer-site", "angle-site", "disc-site", "target", "target-pair",
+        "tolerance", "basis"])
+def test_compute_rejects_json_booleans_as_numbers(tmp_path, capsys, doc, field):
+    # JSON true/false parse to Python bools, which are ints
+    code, _, err = run_cli(capsys, "compute", write(tmp_path, "p.json", doc))
+    assert code == 2
+    assert field in err
+
+
 def test_compute_finite_sup_csv(tmp_path, capsys):
     doc = {
         "backend": "finite_sup",
@@ -204,6 +223,14 @@ def test_gleason_single_site_exit_2(tmp_path, capsys):
 def test_verify_unknown_suite_exit_2(capsys):
     with pytest.raises(SystemExit):
         main(["verify", "bogus"])
+
+
+def test_verify_negative_seed_exit_2(capsys):
+    # numpy's generators reject negative seeds; the parser does first
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "kernels", "--seed", "-1"])
+    assert exc.value.code == 2
+    assert "--seed" in capsys.readouterr().err
 
 
 def test_verify_gleason_suite(capsys):

@@ -1,20 +1,16 @@
-"""The LP paths of ``_lp`` give brackets that agree.
+"""The LP path of ``_lp``: its brackets match their tolerances and certificates.
 
-``solve_lp`` calls scipy's private HiGHS bindings directly and falls back to
-``linprog(method="highs")`` when they cannot be imported.  On the direct
-path ``CutLP`` keeps its HiGHS model alive and warm-starts each cut round
-from the previous basis; the fallback rebuilds the LP every round.  The two
-can return different optimal vertices, so these tests check what holds for
-any correct solver: the brackets of one problem intersect, every closed
+``solve_lp`` calls scipy's private HiGHS bindings directly, and ``CutLP``
+keeps its HiGHS model alive and warm-starts each cut round from the
+previous basis, so the vertex a round returns depends on the rounds before
+it.  These tests check what holds for any correct solver: every closed
 bracket is no wider than its tolerance, every LP-backend lower end survives
 ``dual_certificate_check``, and a warm model's optimum equals a cold rebuild
-of the same cuts.  The fallback is forced by monkeypatching the module, so a
-scipy release that changes the private bindings fails here instead of
-silently moving a bracket.
+of the same cuts.  A scipy release that changes the private bindings fails
+here, or at import, instead of silently moving a bracket.
 """
 
 import copy
-import importlib.util
 
 import numpy as np
 import pytest
@@ -24,20 +20,6 @@ from picknorm import _lp, verify
 from picknorm import finitemodel as fm
 from picknorm.core import InfeasibleCoset, SolverStall, compute_np_norm
 from picknorm.seqalg import DualCertificate, dual_certificate_check
-
-HAS_BINDINGS = importlib.util.find_spec("scipy.optimize._highspy._highs_wrapper") is not None
-
-direct_only = pytest.mark.skipif(
-    not HAS_BINDINGS, reason="scipy has no scipy.optimize._highspy._highs_wrapper")
-
-
-def _both_paths(monkeypatch, solve):
-    """solve() on the direct path, then on the linprog fallback."""
-    direct = solve()
-    with monkeypatch.context() as m:
-        m.setattr(_lp, "_highs_wrapper", None)
-        fallback = solve()
-    return direct, fallback
 
 
 def _result(solve):
@@ -62,42 +44,29 @@ def _certified_lower(r, targets) -> float:
     return max(floor, dual_certificate_check(cert))
 
 
-def _assert_agree(direct, fallback, allowed):
-    """Brackets intersect; a closed one is no wider than allowed(i, r)."""
-    for i, ((rd, cd), (rf, cf)) in enumerate(zip(direct, fallback)):
-        assert max(rd.lower, rf.lower) <= min(rd.upper, rf.upper), (rd, rf)
-        for r, closed in ((rd, cd), (rf, cf)):
-            if closed:
-                assert r.upper - r.lower <= allowed(i, r), r
+def _assert_within(results, allowed):
+    """Each bracket is ordered; a closed one is no wider than allowed(i, r)."""
+    for i, (r, closed) in enumerate(results):
+        assert r.lower <= r.upper, r
+        if closed:
+            assert r.upper - r.lower <= allowed(i, r), r
 
 
-@direct_only
-def test_direct_bindings_are_used():
-    # the private module exists, so its import and option set-up must work
-    assert _lp._highs_wrapper is not None
-
-
-@direct_only
 @pytest.mark.parametrize("backend", ["analytic_wiener", "wiener", "l1_torus"])
-def test_remark1_brackets_match(monkeypatch, backend):
+def test_remark1_brackets_match(backend):
     rng = np.random.default_rng(2024)
     problems = [verify._floor_problem(backend, rng) for _ in range(80)]
 
-    def solve():
-        out = []
-        for p in problems:
-            r, closed = _result(lambda: compute_np_norm(p))
-            lower = _certified_lower(r, p.targets)
-            assert r.lower <= lower + 1e-9 * max(1.0, lower), (r, lower)
-            out.append((r, closed))
-        return out
-
-    direct, fallback = _both_paths(monkeypatch, solve)
-    _assert_agree(direct, fallback, lambda i, r: problems[i].tolerance)
+    results = []
+    for p in problems:
+        r, closed = _result(lambda: compute_np_norm(p))
+        lower = _certified_lower(r, p.targets)
+        assert r.lower <= lower + 1e-9 * max(1.0, lower), (r, lower)
+        results.append((r, closed))
+    _assert_within(results, lambda i, r: problems[i].tolerance)
 
 
-@direct_only
-def test_generic_finite_brackets_match(monkeypatch):
+def test_generic_finite_brackets_match():
     rng = np.random.default_rng(2025)
     problems = []
     for kind in ("weighted_sup", "weighted_l1", "lp"):
@@ -113,13 +82,10 @@ def test_generic_finite_brackets_match(monkeypatch):
             a = rng.standard_normal(n) + 1j * rng.standard_normal(n)
             problems.append((alg, subset, a))
 
-    def solve():
-        return [_result(lambda: fm.np_norm_generic(alg, subset, a, tolerance=1e-10))
-                for alg, subset, a in problems]
-
-    direct, fallback = _both_paths(monkeypatch, solve)
+    results = [_result(lambda: fm.np_norm_generic(alg, subset, a, tolerance=1e-10))
+               for alg, subset, a in problems]
     # np_norm_generic closes at a relative width
-    _assert_agree(direct, fallback, lambda i, r: 1e-10 * max(1.0, r.upper))
+    _assert_within(results, lambda i, r: 1e-10 * max(1.0, r.upper))
 
 
 def _cold_fun(cut: _lp.CutLP) -> float:
@@ -129,7 +95,6 @@ def _cold_fun(cut: _lp.CutLP) -> float:
     return fresh.solve()[1].fun
 
 
-@direct_only
 def test_live_model_matches_a_cold_rebuild():
     rng = np.random.default_rng(7)
     # the epigraph cut loop of min_weighted_l1: min sum |c_k| s.t. A c = rhs
@@ -172,10 +137,7 @@ def _next_rows(cut: _lp.CutLP):
     return cut._rows([ph[s:] for ph, s in zip(cut.phases, cut.sent)], len(cost))
 
 
-@pytest.mark.parametrize("fallback", [False, True])
-def test_bounded_block_matches_rows_added_one_by_one(monkeypatch, fallback):
-    if fallback:
-        monkeypatch.setattr(_lp, "_highs_wrapper", None)
+def test_bounded_block_matches_rows_added_one_by_one():
     rng = np.random.default_rng(11)
     d = 4
     theta = np.linspace(0, 2 * np.pi, 20, endpoint=False)
@@ -212,10 +174,7 @@ def test_bounded_block_matches_rows_added_one_by_one(monkeypatch, fallback):
         u = ub
 
 
-@pytest.mark.parametrize("fallback", [False, True])
-def test_status_mapping(monkeypatch, fallback):
-    if fallback:
-        monkeypatch.setattr(_lp, "_highs_wrapper", None)
+def test_status_mapping():
     # x0 + x1 = 1 and x0 + x1 = 2
     with pytest.raises(InfeasibleCoset):
         _lp.solve_lp([1.0, 1.0], None, None, [[1.0, 1.0], [1.0, 1.0]], [1.0, 2.0],
@@ -230,7 +189,6 @@ def test_status_mapping(monkeypatch, fallback):
     assert res.x.tolist() == [1.0, 0.0]
 
 
-@direct_only
 def test_appended_rows_warm_start():
     c, bounds = [1.0, 2.0], [(0, None)] * 2
     res = _lp.solve_lp(c, [[-1.0, -1.0]], [-1.0], None, None, bounds)
@@ -244,16 +202,11 @@ def test_appended_rows_warm_start():
         _lp.solve_lp(c, [[0.0, 1.0]], [0.5], None, None, bounds, model=res.model)
 
 
-@direct_only
-def test_model_takes_only_appended_rows(monkeypatch):
+def test_model_takes_only_appended_rows():
     c, bounds = [1.0, 2.0], [(0, None)] * 2
     model = _lp.solve_lp(c, [[-1.0, -1.0]], [-1.0], None, None, bounds).model
     with pytest.raises(ValueError):
         _lp.solve_lp(c, None, None, [[1.0, 1.0]], [1.0], bounds, model=model)
-    # the fallback has no live model to append to
-    monkeypatch.setattr(_lp, "_highs_wrapper", None)
-    with pytest.raises(ValueError):
-        _lp.solve_lp(c, [[1.0, 0.0]], [0.25], None, None, bounds, model=model)
 
 
 def _torus_grid_problem():
@@ -280,10 +233,7 @@ def _counting_solve_lp(monkeypatch) -> list:
     return calls
 
 
-@pytest.mark.parametrize("fallback", [False, True])
-def test_certified_lower_skips_the_cut_loop(monkeypatch, fallback):
-    if fallback:
-        monkeypatch.setattr(_lp, "_highs_wrapper", None)
+def test_certified_lower_skips_the_cut_loop(monkeypatch):
     A, rhs, hints = _torus_grid_problem()
     lower, gap_tol = np.sqrt(2.0), 1e-10
     calls = _counting_solve_lp(monkeypatch)
@@ -298,10 +248,7 @@ def test_certified_lower_skips_the_cut_loop(monkeypatch, fallback):
     assert np.max(np.abs(A @ c - rhs)) <= 1e-13
 
 
-@pytest.mark.parametrize("fallback", [False, True])
-def test_open_gap_runs_the_cut_loop_unchanged(monkeypatch, fallback):
-    if fallback:
-        monkeypatch.setattr(_lp, "_highs_wrapper", None)
+def test_open_gap_runs_the_cut_loop_unchanged():
     A, rhs, hints = _torus_grid_problem()
     gap_tol = 1e-10
     # a lower end 1e-6 under the hinted value leaves the gap open
