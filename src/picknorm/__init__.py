@@ -44,7 +44,6 @@ from .hardy import (
 )
 from .seqalg import (
     DualCertificate,
-    TruncationPlan,
     analytic_wiener_certificate,
     dual_certificate_check,
     l1_torus_certificate,

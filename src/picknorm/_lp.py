@@ -41,7 +41,7 @@ from scipy.optimize import OptimizeResult
 # scipy's private HiGHS bindings, the module its own HiGHS method goes through
 from scipy.optimize._highspy import _highs_wrapper
 
-from .core import InfeasibleCoset, SolverStall
+from .core import Ends, InfeasibleCoset, SolverStall
 
 _HIGHS_OPTIONS = _highs_wrapper._h.HighsOptions()
 _HIGHS_OPTIONS.presolve = "on"
@@ -422,12 +422,9 @@ def min_weighted_l1(A: np.ndarray, rhs: np.ndarray, *, gap_tol: float = 1e-11,
                 [(None, None)] * (2 * n) + [(0, None)] * n,
                 cuts=4 if gap_tol >= 1e-6 else 8, A_eq=A_eq, b_eq=b_eq)
 
-    lp_lower = 0.0
-    best_c = np.zeros(n, dtype=complex)
-    best_upper = np.inf
+    ends = Ends()
     prev_upper = np.inf
     stagnant = 0
-    rounds = 0
     for rounds in range(1, 9):
         c, res = cut.solve()
         lp_lower = float(res.fun)
@@ -435,21 +432,18 @@ def min_weighted_l1(A: np.ndarray, rhs: np.ndarray, *, gap_tol: float = 1e-11,
         if hinted is not None and rounds == 1:
             cands.append(hinted)
         for cand in cands:
-            upper = float(np.sum(w * np.abs(cand)))
-            if upper < best_upper:
-                best_upper = upper
-                best_c = cand
+            ends.offer_upper(float(np.sum(w * np.abs(cand))), cand)
 
-        scale = max(1.0, best_upper)
-        if best_upper - lp_lower <= gap_tol * scale:
+        scale = max(1.0, ends.upper)
+        if ends.upper - lp_lower <= gap_tol * scale:
             break
-        if prev_upper - best_upper <= 0.25 * gap_tol * scale:
+        if prev_upper - ends.upper <= 0.25 * gap_tol * scale:
             stagnant += 1
             if stagnant >= 2:
                 break  # polished value has stopped moving twice in a row
         else:
             stagnant = 0
-        prev_upper = best_upper
+        prev_upper = ends.upper
 
         # refine: cut at the phase of every coordinate whose epigraph is slack
         slack = w * (np.abs(c) - res.x[2 * n:])
@@ -461,7 +455,7 @@ def min_weighted_l1(A: np.ndarray, rhs: np.ndarray, *, gap_tol: float = 1e-11,
     # repair: the least-norm correction for the solver's equality
     # tolerance, so the evaluated upper bound comes from a point feasible
     # to machine rounding
-    best_c = _project(A, rhs, best_c)
+    best_c = _project(A, rhs, ends.primal)
     return best_c, lp_lower, float(np.sum(w * np.abs(best_c))), rounds
 
 

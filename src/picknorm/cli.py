@@ -119,6 +119,12 @@ def _parse_params(doc: dict) -> dict | None:
         raise ParseError("backend_params", "expected an object")
     if params:
         params = dict(params)
+        weights = params.get("weights")
+        named = {f"weights[{i}]": w for i, w in
+                 enumerate(weights if isinstance(weights, list) else ())}
+        for path, v in {"p": params.get("p"), **named}.items():
+            if isinstance(v, bool):
+                raise ParseError(f"backend_params.{path}", "expected a number")
         if "basis" in params and params["basis"] is not None:
             basis = params["basis"]
             if not isinstance(basis, list):

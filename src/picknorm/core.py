@@ -224,6 +224,30 @@ def make_result(lower: float, upper: float, floor: float, certificate: dict,
         f"the tolerance {tolerance:.3e}{why}", NormResult(lo, up, certificate, iterations))
 
 
+class Ends:
+    """A bracket loop's best ends, each with its proof: the highest dual
+    ``bound`` with its ``dual`` certificate and the lowest evaluated ``upper``
+    with its ``primal`` object.  An offer replaces an end and its proof only
+    when strictly better (a NaN never is); ``lower`` is max(floor, bound)."""
+
+    def __init__(self, floor: float = -math.inf):
+        self.floor = floor
+        self.bound, self.dual = -math.inf, None
+        self.upper, self.primal = math.inf, None
+
+    @property
+    def lower(self) -> float:
+        return max(self.floor, self.bound)
+
+    def offer_lower(self, bound: float, dual) -> None:
+        if bound > self.bound:
+            self.bound, self.dual = bound, dual
+
+    def offer_upper(self, value: float, primal) -> None:
+        if value < self.upper:
+            self.upper, self.primal = value, primal
+
+
 # --------------------------------------------------------------------------
 # Operations
 # --------------------------------------------------------------------------

@@ -46,6 +46,7 @@ from . import _lp
 from .core import (
     FINITE_NORM_KINDS,
     DomainViolation,
+    Ends,
     InfeasibleCoset,
     NormResult,
     SolverStall,
@@ -313,23 +314,18 @@ def _generic_lp(alg: FiniteAlgebra, x0: np.ndarray, N: np.ndarray,
     bounds = [(None, None)] * (2 * d) + [(0, None)] * (nv - 2 * d)
     cut = _lp.CutLP(d, cost, bounds, M=N, off=x0, A_ub=A_ub, b_ub=b_ub)
 
-    lower = 0.0
-    upper = math.inf
-    best_x = x0
+    ends = Ends()
     for _ in range(40):
         u, res = cut.solve()
         x = cut.values(u)
         lower = float(res.fun)
-        val = alg.norm(x)
-        if val < upper:
-            upper = val
-            best_x = x
-        if upper - lower <= max(tolerance, 1e-11) * max(1.0, upper):
+        ends.offer_upper(alg.norm(x), x)
+        if ends.upper - lower <= max(tolerance, 1e-11) * max(1.0, ends.upper):
             break
         mags = np.hypot(x.real, x.imag)
         if not cut.add_cuts((mags > res.x[2 * d:2 * d + n] + 1e-13) & (mags > 1e-15), x):
             break
-    return lower, upper, best_x
+    return lower, ends.upper, ends.primal
 
 
 def _generic_lp_smooth(alg: FiniteAlgebra, x0: np.ndarray, N: np.ndarray):

@@ -34,6 +34,7 @@ import numpy as np
 from . import _lp
 from .core import (
     CertificateRejected,
+    Ends,
     GridTooCoarse,
     NormResult,
     SolverStall,
@@ -63,14 +64,6 @@ def _dual_tol(tolerance: float) -> float:
 
 
 @dataclass(frozen=True)
-class TruncationPlan:
-    """The coefficient cutoff of one solve, which guarantees its geometric
-    tail margin."""
-
-    degree: int
-
-
-@dataclass(frozen=True)
 class DualCertificate:
     """A dual vector with a verified constraint bound.
 
@@ -86,7 +79,7 @@ class DualCertificate:
     meta: dict
 
 
-def plan_for_analytic(lambdas, tail_margin: float) -> TruncationPlan:
+def plan_for_analytic(lambdas, tail_margin: float) -> int:
     """Smallest cutoff K with max|lambda|^{K+1} / (1 - max|lambda|) <= margin."""
     r = float(np.max(np.abs(np.asarray(lambdas, complex))))
     n = len(lambdas)
@@ -97,7 +90,7 @@ def plan_for_analytic(lambdas, tail_margin: float) -> TruncationPlan:
     else:
         K = int(math.ceil(math.log(tail_margin * (1.0 - r)) / math.log(r))) - 1
         K = min(max(K, n, 2), _MAX_DEGREE)
-    return TruncationPlan(degree=K)
+    return K
 
 
 # --------------------------------------------------------------------------
@@ -138,12 +131,13 @@ def np_norm_analytic_wiener(lambdas, targets, tolerance: float = 1e-9) -> NormRe
     geometric tail constraint; the certified supremum re-derives the bound
     independently of the LP.  After eight rounds (three with a site on the
     unit circle) a bracket still wider than ``tolerance`` raises
-    SolverStall (TailBoundFailure for the boundary case) carrying it, its
-    certificate that of the last round plus a ``note``.  Inputs pass
-    ``core.check_sites``, ``core.check_targets`` and
-    ``core.check_tolerance``.  Zero targets and one site have exact answers
-    (``core._exact_answer``: methods ``zero_targets`` and ``one_site``,
-    ``iterations = 0``) and solve no LP.
+    SolverStall (TailBoundFailure for the boundary case) carrying it, with a
+    ``note``.  The certificate holds the proofs of the reported ends: the
+    highest-bound ``dual`` and the ``support`` and ``coefficients`` whose
+    mass is ``upper``.  Inputs pass ``core.check_sites``,
+    ``core.check_targets`` and ``core.check_tolerance``.  Zero targets and
+    one site have exact answers (``core._exact_answer``: methods
+    ``zero_targets`` and ``one_site``, ``iterations = 0``) and solve no LP.
     """
     check_tolerance(tolerance)
     lam = check_sites("analytic_wiener", lambdas)
@@ -160,14 +154,12 @@ def _solve_analytic_wiener(lam: np.ndarray, a: np.ndarray,
     floor = sup_lower_bound(a)
     rmax = float(np.max(np.abs(lam)))
     boundary = rmax >= 1.0 - 1e-14
-    plan = plan_for_analytic(lam, tail_margin=min(tolerance, 1e-8) * 1e-2)
+    degree = plan_for_analytic(lam, tail_margin=min(tolerance, 1e-8) * 1e-2)
 
     window = max(2 * n, 16)
-    support = sorted(set(range(min(plan.degree, 2 * n) + 1)))
-    best_upper = math.inf
+    support = sorted(set(range(min(degree, 2 * n) + 1)))
+    ends = Ends(floor)
     upper_history: list[float] = []
-    lower = floor
-    cert: DualCertificate | None = None
     rounds = 0
 
     while True:
@@ -178,23 +170,19 @@ def _solve_analytic_wiener(lam: np.ndarray, a: np.ndarray,
         mcm.add_rows(lam[None, :] ** np.arange(window + 1)[:, None])
         b = mcm.solve(tol=_dual_tol(tolerance),
                       polish=tolerance < 5e-3 or rounds > 1)
-        cand = analytic_wiener_certificate(lam, a, b,
-                                           window=max(2 * window, 128))
-        if cand.bound > lower:
-            lower = cand.bound
-            cert = cand
-        lower = max(lower, floor)
+        cert = analytic_wiener_certificate(lam, a, b, window=max(2 * window, 128))
+        ends.offer_lower(cert.bound, cert)
 
         # primal support: columns where the dual polynomial is active
-        g = np.abs((lam[None, :] ** np.arange(plan.degree + 1)[:, None]) @ b)
+        g = np.abs((lam[None, :] ** np.arange(degree + 1)[:, None]) @ b)
         active = set(np.nonzero(g >= 1.0 - 1e-6)[0].tolist())
         support = sorted(set(support) | active | set(range(n)))
         if rounds >= 3 and not boundary:
-            support = list(range(plan.degree + 1))
+            support = list(range(degree + 1))
         if len(support) > 600 and (rounds < 3 or boundary):
             order = np.argsort(-g[support])
             kept = set(np.asarray(support)[order[:600]].tolist())
-            kept.update(range(min(plan.degree, 2 * n) + 1))
+            kept.update(range(min(degree, 2 * n) + 1))
             support = sorted(kept)
 
         cols = np.asarray(support, dtype=int)
@@ -202,26 +190,20 @@ def _solve_analytic_wiener(lam: np.ndarray, a: np.ndarray,
         g_cols = (lam[None, :] ** cols[:, None]) @ b
         c, _, ub, _ = _lp.min_weighted_l1(A, a, gap_tol=_gap_tol(tolerance),
                                           phase_hints=-np.angle(g_cols),
-                                          lower=lower)
+                                          lower=ends.lower)
         upper_history.append(ub)
-        if ub < best_upper:
-            best_upper = ub
+        ends.offer_upper(ub, (cols, c))
 
         # a boundary site makes the geometric tail constant, so the dual
         # bound can never rise above the sup floor: give up early
-        if best_upper - lower <= tolerance or rounds >= (3 if boundary else 8):
-            certificate = {
-                "method": "analytic_l1",
-                "dual": _cert_payload(cert),
-                "support": [int(k) for k in cols],
-                "coefficients": _complex_list(c),
-                "upper_history": upper_history,
-            }
+        if ends.upper - ends.lower <= tolerance or rounds >= (3 if boundary else 8):
+            certificate = {"method": "analytic_l1", "dual": _cert_payload(ends.dual),
+                           **_interpolant(*ends.primal), "upper_history": upper_history}
             note = ("boundary site |lambda| = 1: the geometric dual tail cannot "
                     "certify above the floor" if boundary else
-                    f"not closed after {rounds} rounds at degree {plan.degree}")
+                    f"not closed after {rounds} rounds at degree {degree}")
             try:
-                return make_result(lower, best_upper, floor, certificate, rounds,
+                return make_result(ends.lower, ends.upper, floor, certificate, rounds,
                                    tolerance, note)
             except SolverStall as exc:
                 if not boundary:
@@ -288,8 +270,10 @@ def np_norm_wiener(thetas, targets, tolerance: float = 1e-9) -> NormResult:
     is reported as a diagnostic only.
     A bracket that does not close (the period reduction's primal LP stops
     short, or the truncation degree stagnates or reaches 1024) raises
-    SolverStall carrying it, its certificate that of the last round plus a
-    ``note``.  Inputs pass ``core.check_sites``, ``core.check_targets`` and
+    SolverStall carrying it, with a ``note``.  The certificate holds the
+    proofs of the reported ends: the truncated primal's ``support`` and
+    ``coefficients``, whose mass is ``upper``.  Inputs pass
+    ``core.check_sites``, ``core.check_targets`` and
     ``core.check_tolerance``.  Zero targets and one site have exact answers
     (``core._exact_answer``: methods ``zero_targets`` and ``one_site``,
     ``iterations = 0``) and solve no LP.
@@ -332,7 +316,7 @@ def _solve_wiener(th: np.ndarray, a: np.ndarray, tolerance: float) -> NormResult
 
     # incommensurate: truncated primal, floor-certified lower
     K = 32
-    best_upper = math.inf
+    ends = Ends(floor)
     prev_upper = math.inf
     diag = None
     rounds = 0
@@ -353,23 +337,20 @@ def _solve_wiener(th: np.ndarray, a: np.ndarray, tolerance: float) -> NormResult
 
         c, _, ub, _ = _lp.min_weighted_l1(A, a, gap_tol=_gap_tol(tolerance),
                                           phase_hints=hints, lower=floor)
-        best_upper = min(best_upper, ub)
+        ends.offer_upper(ub, (ks, c))
 
         # give up when the per-doubling progress cannot close the remaining
         # gap within the degree cap
-        if prev_upper - best_upper <= max(tolerance / 10,
-                                          (best_upper - floor) / 20):
+        if prev_upper - ends.upper <= max(tolerance / 10, (ends.upper - floor) / 20):
             stagnations += 1
         else:
             stagnations = 0
-        prev_upper = best_upper
-        if best_upper - floor <= tolerance or K >= 1024 or stagnations >= 2:
-            certificate = {
-                "method": "wiener_l1_truncated",
-                "degree": K,
-                "window_limited_dual": _cert_payload(diag),
-            }
-            return make_result(floor, best_upper, floor, certificate, rounds,
+        prev_upper = ends.upper
+        if ends.upper - ends.lower <= tolerance or K >= 1024 or stagnations >= 2:
+            certificate = {"method": "wiener_l1_truncated", "degree": K,
+                           "window_limited_dual": _cert_payload(diag),
+                           **_interpolant(*ends.primal)}
+            return make_result(ends.lower, ends.upper, floor, certificate, rounds,
                                tolerance, note="incommensurate angles: the "
                                "certified lower bound is the sup floor")
         K *= 2
@@ -531,13 +512,15 @@ def np_norm_l1_torus(ks, targets, tolerance: float = 1e-9) -> NormResult:
     infimum for this finite-codimension quotient, and it is attained).
     After four rounds, or once certifying the gap would need a grid beyond
     2^25 points, a bracket still wider than ``tolerance`` raises
-    SolverStall carrying it, its certificate that of the last round plus a
-    ``note``.  Inputs pass ``core.check_sites`` (integer frequencies, never
-    truncated), ``core.check_targets`` and ``core.check_tolerance``.  Zero
-    targets, one site and two sites have exact answers
-    (``core._exact_answer``: methods ``zero_targets``, ``one_site`` and
-    ``two_site_torus``, the last with an ``atoms`` payload shaped like this
-    method's; ``iterations = 0``) and solve no LP.
+    SolverStall carrying it, with a ``note``.  The certificate holds the
+    proofs of the reported ends: the highest-bound ``dual`` and every atom
+    of the measure whose mass is ``upper``.  Inputs pass
+    ``core.check_sites`` (integer frequencies, never truncated),
+    ``core.check_targets`` and ``core.check_tolerance``.  Zero targets, one
+    site and two sites have exact answers (``core._exact_answer``: methods
+    ``zero_targets``, ``one_site`` and ``two_site_torus``, the last with an
+    ``atoms`` payload shaped like this method's; ``iterations = 0``) and
+    solve no LP.
     """
     check_tolerance(tolerance)
     ks = check_sites("l1_torus", ks)
@@ -583,12 +566,11 @@ def _solve_l1_torus(ks: np.ndarray, a: np.ndarray, tolerance: float) -> NormResu
     b = mcm.solve(tol=_dual_tol(tolerance), row_oracle=angle_oracle,
                   polish=not coarse)
 
-    best_upper = math.inf
-    atoms_payload: dict = {}
+    ends = Ends(floor)
     # coarse certification first; the expensive grid is only paid for when
     # the sup floor and the cheap bound cannot close the bracket
     cert = l1_torus_certificate(ks, a, b, tolerance=max(tolerance / 3, 1e-3))
-    lower = max(floor, cert.bound)
+    ends.offer_lower(cert.bound, cert)
 
     rounds = 0
     fallback = max(32 if tolerance >= 1e-3 else 64, 2 * span + 8)
@@ -608,24 +590,19 @@ def _solve_l1_torus(ks: np.ndarray, a: np.ndarray, tolerance: float) -> NormResu
         A = np.exp(-1j * np.outer(ks, cands))
         hints = np.angle(np.exp(1j * np.outer(cands, ks)) @ b)
         w, _, upper, _ = _lp.min_weighted_l1(A, a, gap_tol=_gap_tol(tolerance),
-                                             phase_hints=hints, lower=lower)
-        if upper < best_upper:
-            best_upper = upper
-            keep = np.abs(w) > 1e-9 * max(1.0, upper)
-            atoms_payload = {"angles": [float(t) for t in cands[keep]],
-                             "weights": _complex_list(w[keep])}
+                                             phase_hints=hints, lower=ends.lower)
+        ends.offer_upper(upper, (cands, w))
 
         # further refinement is pointless when certifying the remaining gap
         # would need a grid beyond the cap
         D = int(np.max(np.abs(ks)))
-        needed = math.pi * D * max(1.0, best_upper) / max(tolerance / 2, 1e-300)
-        if best_upper - lower <= tolerance or rounds >= 4 or needed > _MAX_CERT_GRID:
-            certificate = {
-                "method": "torus_l1",
-                "dual": _cert_payload(cert),
-                "atoms": atoms_payload,
-            }
-            return make_result(lower, best_upper, floor, certificate, rounds,
+        needed = math.pi * D * max(1.0, ends.upper) / max(tolerance / 2, 1e-300)
+        if ends.upper - ends.lower <= tolerance or rounds >= 4 or needed > _MAX_CERT_GRID:
+            angles, weights = ends.primal
+            certificate = {"method": "torus_l1", "dual": _cert_payload(ends.dual),
+                           "atoms": {"angles": [float(t) for t in angles],
+                                     "weights": _complex_list(weights)}}
+            return make_result(ends.lower, ends.upper, floor, certificate, rounds,
                                tolerance, note=f"stopped in round {rounds} of 4; "
                                f"certifying the gap needs a grid of {needed:.3g} "
                                f"points, cap {_MAX_CERT_GRID}")
@@ -635,7 +612,7 @@ def _solve_l1_torus(ks: np.ndarray, a: np.ndarray, tolerance: float) -> NormResu
         fallback = min(2 * fallback, 512)
         tol_c = max(tolerance / (3 * rounds * rounds), 1e-10)
         cert = l1_torus_certificate(ks, a, b, tolerance=tol_c)
-        lower = max(lower, floor, cert.bound)
+        ends.offer_lower(cert.bound, cert)
 
 
 # --------------------------------------------------------------------------
@@ -692,6 +669,10 @@ def dual_certificate_check(cert: DualCertificate) -> float:
 
 def _complex_list(xs) -> list:
     return [[float(np.real(x)), float(np.imag(x))] for x in np.asarray(xs).ravel()]
+
+
+def _interpolant(support, c) -> dict:
+    return {"support": [int(k) for k in support], "coefficients": _complex_list(c)}
 
 
 def _cert_payload(cert: DualCertificate | None) -> dict | None:

@@ -91,8 +91,14 @@ def test_compute_parse_error_names_field(tmp_path, capsys):
     (dict(HARDY_DOC, tolerance=True), "tolerance"),
     ({"backend": "finite_sup", "sites": [1, 2], "targets": [1, -1],
       "backend_params": {"basis": [[1, 0], [0, True]]}}, "backend_params.basis[1][1]"),
+    ({"backend": "finite_lp", "sites": [1, 2], "targets": [1, -1],
+      "backend_params": {"p": True}}, "backend_params.p"),
+    ({"backend": "finite_sup", "sites": [1, 2], "targets": [1, -1],
+      "backend_params": {"weights": [True, 2]}}, "backend_params.weights[0]"),
+    ({"backend": "finite_l1", "sites": [1, 2], "targets": [1, -1],
+      "backend_params": {"weights": [2, False]}}, "backend_params.weights[1]"),
 ], ids=["integer-site", "angle-site", "disc-site", "target", "target-pair",
-        "tolerance", "basis"])
+        "tolerance", "basis", "p", "weights", "weights-false"])
 def test_compute_rejects_json_booleans_as_numbers(tmp_path, capsys, doc, field):
     # JSON true/false parse to Python bools, which are ints
     code, _, err = run_cli(capsys, "compute", write(tmp_path, "p.json", doc))

@@ -78,9 +78,10 @@ def test_analytic_boundary_floor_attained():
 
 
 def test_truncation_plan_tail_bound():
-    plan = plan_for_analytic([0.3, 0.9], 1e-10)
+    degree = plan_for_analytic([0.3, 0.9], 1e-10)
     r = 0.9
-    assert r ** (plan.degree + 1) / (1 - r) <= 1e-10
+    assert isinstance(degree, int)
+    assert r ** (degree + 1) / (1 - r) <= 1e-10
 
 
 def test_analytic_certificate_weak_duality():
@@ -327,6 +328,59 @@ def test_torus_floor():
             r = exc.partial
         assert r.lower >= float(np.max(np.abs(a))) - 1e-7
         assert r.lower <= r.upper + 1e-12
+
+
+# ----------------------------------------------------------------------
+# every end travels with its proof
+# ----------------------------------------------------------------------
+
+def _assert_proves_the_ends(r, a, columns, weights):
+    """The published interpolant, ``columns @ weights`` at the sites, meets
+    the targets within 1e-12 max(1, max|a|) and has mass ``upper``; the
+    published dual, with the floor, gives ``lower``."""
+    w = np.array([complex(*z) for z in weights])
+    assert np.max(np.abs(columns @ w - a)) <= 1e-12 * max(1.0, np.max(np.abs(a)))
+    assert np.sum(np.abs(w)) == pytest.approx(r.upper, rel=1e-12, abs=0)
+    dual = r.certificate.get("dual")
+    floor = max(abs(complex(z)) for z in a)
+    assert r.lower == max(floor, dual["bound"] if dual else -math.inf)
+
+
+def test_analytic_payload_is_the_interpolant_behind_upper():
+    # floor_mix draw 641 at seed 1: upper comes from round 1, and the
+    # coefficients of round 2, 2.5e-9 heavier, were once published instead
+    lam = np.array([-0.13417692418615124 - 0.13297853416951108j,
+                    -0.4448697118012963 - 0.5807412726111809j,
+                    -0.3376415866964164 - 0.1390727499361221j])
+    a = np.array([0.693253972687715 + 0.3969998766180285j,
+                  -0.9065914094996792 + 0.022335291169855664j,
+                  1.5680029953493524 + 1.723359454952482j])
+    r = np_norm_analytic_wiener(lam, a, 0.05)
+    cert = r.certificate
+    _assert_proves_the_ends(r, a, lam[:, None] ** np.array(cert["support"]),
+                            cert["coefficients"])
+
+
+def test_torus_payload_keeps_every_atom():
+    # tight_seq draw 15 at seed 1: pruning the atoms below 1e-9 upper once
+    # left a residual of 4.5e-10 and a mass 2.3e-10 (relative) off upper
+    ks = np.array([0, 5, 1])
+    a = np.array([-1.8402462223583769 - 0.5430534582496271j,
+                  0.14724734619675975 - 0.13073099302071928j,
+                  0.24952960442310737 + 0.009712404966397982j])
+    r = np_norm_l1_torus(ks, a, 1.9180833438967735e-09)
+    atoms = r.certificate["atoms"]
+    _assert_proves_the_ends(r, a, np.exp(-1j * np.outer(ks, atoms["angles"])),
+                            atoms["weights"])
+
+
+def test_truncated_wiener_publishes_its_interpolant():
+    th, a = np.array([0.0, 1.0]), np.array([1, 1j])
+    r = np_norm_wiener(th, a, 1e-3)
+    cert = r.certificate
+    assert cert["method"] == "wiener_l1_truncated"
+    _assert_proves_the_ends(r, a, np.exp(1j * np.outer(th, cert["support"])),
+                            cert["coefficients"])
 
 
 # ----------------------------------------------------------------------
