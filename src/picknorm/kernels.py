@@ -147,10 +147,10 @@ def convolve(mu: TorusMeasure, V: KernelSpec, grid: int):
 def kernel_l1_norm(order: int, grid: int | None = None,
                    kind: str = "dlvp") -> float:
     """Quadrature value of the kernel's l1 norm with a stability check:
-    the grid doubles until the value moves by less than 1e-8."""
+    the grid doubles until the value moves by less than 1e-8.  A given grid
+    size passes ``core.check_dimension``."""
     V = kernel_coeffs(kind, order)
-    if grid is None:
-        grid = 64 * order
+    grid = 64 * order if grid is None else check_dimension(grid, "grid")
     if grid < 64 * order:
         raise GridTooCoarse(f"grid {grid} < 64 * order {order}")
     m = 1 << int(np.ceil(np.log2(max(grid, 8192))))

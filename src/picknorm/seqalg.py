@@ -39,7 +39,9 @@ from .core import (
     NormResult,
     SolverStall,
     TailBoundFailure,
+    ValidationError,
     _exact_answer,
+    check_dimension,
     check_sites,
     check_targets,
     check_tolerance,
@@ -50,7 +52,7 @@ from .core import (
 _MAX_DEGREE = 4096
 _MAX_PERIOD = 4096
 _MAX_CERT_GRID = 2 ** 25
-_CHUNK = 2 ** 20
+_BLOCK = 2 ** 20
 
 
 def _gap_tol(tolerance: float) -> float:
@@ -108,9 +110,11 @@ def _analytic_certified_sup(lam: np.ndarray, b: np.ndarray, window: int):
 
 
 def analytic_wiener_certificate(lambdas, targets, b, window: int = 256) -> DualCertificate:
-    """Certify a dual vector for the one-sided coefficient algebra."""
-    lam = np.asarray(lambdas, dtype=complex).ravel()
+    """Certify a dual vector for the one-sided coefficient algebra.  The
+    sites pass ``core.check_sites``, the window ``core.check_dimension``."""
+    lam = check_sites("analytic_wiener", lambdas)
     a = check_targets(targets, len(lam))
+    window = check_dimension(window, "window")
     b = np.asarray(b, dtype=complex).ravel()
     csup, detail = _analytic_certified_sup(lam, b, window)
     obj = float(np.real(np.sum(b * a)))
@@ -232,13 +236,18 @@ def wiener_certificate(thetas, targets, b, period: int | None = None,
     periodic in the frequency and the supremum over one period is exact.
     Otherwise only a frequency window is checked and the certificate is
     labeled window-limited: its bound is valid for the window-truncated
-    algebra only and is never used as a certified lower bound.
+    algebra only and is never used as a certified lower bound.  The angles
+    pass ``core.check_sites``, a given period and the window
+    ``core.check_dimension``.
     """
-    th = np.asarray(thetas, dtype=float).ravel()
+    th = check_sites("wiener", thetas)
     a = check_targets(targets, len(th))
+    window = check_dimension(window, "window")
     b = np.asarray(b, dtype=complex).ravel()
     if period is None:
         period = common_period(th)
+    else:
+        period = check_dimension(period, "period")
     if period is not None:
         ks = np.arange(period)
         span = {"period": int(period), "window": "full_period"}
@@ -368,37 +377,32 @@ def _trig_eval(ks: np.ndarray, b: np.ndarray, thetas: np.ndarray) -> np.ndarray:
 
 
 def _grid_max(ks: np.ndarray, b: np.ndarray, m: int) -> tuple[float, float]:
-    """(max, argmax angle) of |q| over m uniform angles.
-
-    Uses one inverse FFT (samples of a trig polynomial on a uniform grid)
-    when the transform fits comfortably in memory, chunked direct
-    evaluation beyond that.
-    """
+    """(max, argmax angle) of |q| over m uniform angles, in blocks of at
+    most ``_BLOCK`` points: s = ceil(m / _BLOCK) interleaved sub-grids (s
+    must divide m), sub-grid r the angles 2*pi*(j*s + r)/m, each one inverse
+    FFT over the coefficients b_i e^{2 pi i k_i r / m}."""
     kshift = ks - ks.min()
-    if m <= 2 ** 25:
-        spec = np.zeros(m, dtype=complex)
-        np.add.at(spec, np.mod(kshift, m), b)
-        vals = np.abs(np.fft.ifft(spec) * m)
-        j = int(np.argmax(vals))
-        return float(vals[j]), float(2 * np.pi * j / m)
+    s = -(-m // _BLOCK)
+    n = m // s
     best = -1.0
     best_theta = 0.0
-    for start in range(0, m, _CHUNK):
-        stop = min(start + _CHUNK, m)
-        theta = (2 * np.pi / m) * np.arange(start, stop)
-        vals = np.zeros(stop - start, dtype=complex)
-        for ki, bi in zip(kshift, b):
-            vals += bi * np.exp(1j * ki * theta)
-        am = np.abs(vals)
-        j = int(np.argmax(am))
-        if am[j] > best:
-            best = float(am[j])
-            best_theta = float(theta[j])
+    for r in range(s):
+        spec = np.zeros(n, dtype=complex)
+        c = b * np.exp(2j * np.pi * (np.mod(kshift * r, m) / m)) if r else b
+        np.add.at(spec, np.mod(kshift, n), c)
+        vals = np.abs(np.fft.ifft(spec) * n)
+        j = int(np.argmax(vals))
+        if vals[j] > best:
+            best = float(vals[j])
+            best_theta = float(2 * np.pi * (j * s + r) / m)
     return best, best_theta
 
 
 def _bernstein_sup(ks: np.ndarray, b: np.ndarray, m: int) -> tuple[float, dict]:
-    """Certified sup bound grid_max / (1 - pi*D/m) with D = max|k_i|."""
+    """Certified sup bound grid_max / (1 - pi*D/M) with D = max|k_i| and M,
+    the grid evaluated, m rounded up to a multiple of its sub-grid count."""
+    s = -(-m // _BLOCK)
+    m = -(-m // s) * s
     D = int(np.max(np.abs(ks)))
     if m <= 2 * math.pi * D:
         raise GridTooCoarse(f"grid {m} too coarse for degree {D}")
@@ -417,10 +421,16 @@ def l1_torus_certificate(ks, targets, b, grid_size: int | None = None,
     Re sum conj(b_i) a_i / sup|q| is a lower bound for the minimal L1 norm.
     sup|q| is certified on a uniform grid inflated by the Bernstein factor
     (1 - pi * max|k_i| / M)^{-1}; a single-frequency polynomial has constant
-    modulus and is certified exactly.
+    modulus and is certified exactly.  The grid is evaluated in blocks of at
+    most 2^20 points (``_grid_max``), and a requested size above that is
+    rounded up to a multiple of its block count; ``grid_size`` in ``meta``
+    is the size evaluated.  The frequencies pass ``core.check_sites``, a
+    given grid size ``core.check_dimension``.
     """
-    ks = np.asarray(ks, dtype=int).ravel()
+    ks = check_sites("l1_torus", ks)
     a = check_targets(targets, len(ks))
+    if grid_size is not None:
+        grid_size = check_dimension(grid_size, "grid_size")
     b = np.asarray(b, dtype=complex).ravel()
     obj = float(np.real(np.sum(np.conj(b) * a)))
     nz = np.nonzero(np.abs(b) > 0)[0]
@@ -437,7 +447,7 @@ def l1_torus_certificate(ks, targets, b, grid_size: int | None = None,
             grid_size = _pow2_at_least(max(64 * (D + 1),
                                            math.pi * D * scale / tolerance))
             grid_size = min(grid_size, _MAX_CERT_GRID)
-        csup, detail = _bernstein_sup(ks, b, int(grid_size))
+        csup, detail = _bernstein_sup(ks, b, grid_size)
     bound = obj / csup if csup > 0 else 0.0
     meta = {"backend": "l1_torus", "sites": [int(k) for k in ks],
             "targets": [complex(x) for x in a], **detail}
@@ -626,10 +636,12 @@ def dual_certificate_check(cert: DualCertificate) -> float:
     and dual vector at twice the grid (torus: nested finer grid) or twice
     the frequency window plus tail (coefficient algebras), or over the exact
     period for commensurate angles, and returns the implied bound.  Accepts
-    iff the claimed ``bound`` and ``certified_sup`` are finite and the
-    recheck does not lower the bound by more than 1e-12; otherwise raises
-    CertificateRejected naming the non-finite claim or the violating
-    frequency or angle.
+    iff the claimed ``bound`` and ``certified_sup`` are finite, the
+    payload's sites, targets, period, window and grid size pass the
+    certificate functions' input rules, and the recheck does not lower the
+    bound by more than 1e-12; otherwise raises CertificateRejected naming
+    the non-finite claim, the rejected field, or the violating frequency or
+    angle.
     """
     if not (math.isfinite(cert.bound) and math.isfinite(cert.certified_sup)):
         raise CertificateRejected(
@@ -638,24 +650,27 @@ def dual_certificate_check(cert: DualCertificate) -> float:
     meta = cert.meta
     backend = meta.get("backend")
     sites, a, b = meta["sites"], meta["targets"], cert.b
-    if backend == "l1_torus":
-        m = 2 * int(meta.get("grid_size") or 4096)
-        re = l1_torus_certificate(sites, a, b,
-                                  grid_size=min(max(m, 8192), _MAX_CERT_GRID * 2))
-        where = f"angle {re.meta.get('argmax_angle')!r}"
-    elif backend == "analytic_wiener":
-        re = analytic_wiener_certificate(sites, a, b,
-                                         window=2 * int(meta.get("window", 128)))
-        where = f"frequency {re.meta['argmax_k']}"
-    elif backend == "wiener":
-        if meta.get("period"):
-            re = wiener_certificate(sites, a, b, period=int(meta["period"]))
+    try:
+        if backend == "l1_torus":
+            m = 2 * check_dimension(meta.get("grid_size") or 4096, "grid_size")
+            re = l1_torus_certificate(sites, a, b,
+                                      grid_size=min(max(m, 8192), _MAX_CERT_GRID * 2))
+            where = f"angle {re.meta.get('argmax_angle')!r}"
+        elif backend == "analytic_wiener":
+            window = 2 * check_dimension(meta.get("window", 128), "window")
+            re = analytic_wiener_certificate(sites, a, b, window=window)
+            where = f"frequency {re.meta['argmax_k']}"
+        elif backend == "wiener":
+            if meta.get("period"):
+                re = wiener_certificate(sites, a, b, period=meta["period"])
+            else:
+                window = 2 * check_dimension(meta.get("window") or 512, "window")
+                re = wiener_certificate(sites, a, b, period=None, window=window)
+            where = f"frequency {re.meta['argmax_k']}"
         else:
-            re = wiener_certificate(sites, a, b, period=None,
-                                    window=2 * int(meta.get("window") or 512))
-        where = f"frequency {re.meta['argmax_k']}"
-    else:
-        raise CertificateRejected(f"unknown certificate backend {backend!r}")
+            raise CertificateRejected(f"unknown certificate backend {backend!r}")
+    except ValidationError as exc:
+        raise CertificateRejected(f"certificate payload: {exc}") from None
     if re.bound < cert.bound - 1e-12:
         raise CertificateRejected(
             f"recheck lowered the bound from {cert.bound!r} to {re.bound!r}; "

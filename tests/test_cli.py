@@ -106,6 +106,26 @@ def test_compute_rejects_json_booleans_as_numbers(tmp_path, capsys, doc, field):
     assert field in err
 
 
+@pytest.mark.parametrize("text, field", [
+    ("[1, 2]", "$"),
+    (json.dumps({"backend": "nope", "sites": [0.0], "targets": [1]}), "backend"),
+    (json.dumps({"backend": "hardy", "sites": [], "targets": []}), "sites"),
+    (json.dumps({"backend": "hardy", "sites": [0.0], "targets": 1}), "targets"),
+    (json.dumps({"backend": "finite_sup", "sites": [1], "targets": [1],
+                 "backend_params": [1]}), "backend_params"),
+    (json.dumps({"backend": "finite_sup", "sites": [1, 2], "targets": [1, -1],
+                 "backend_params": {"basis": 3}}), "backend_params.basis"),
+    ('{"backend": "hardy",', "not valid JSON"),
+], ids=["not-an-object", "unknown-backend", "empty-sites", "targets-not-array",
+        "params-not-object", "basis-not-array", "invalid-json"])
+def test_compute_malformed_file_exit_2(tmp_path, capsys, text, field):
+    path = tmp_path / "p.json"
+    path.write_text(text)
+    code, _, err = run_cli(capsys, "compute", str(path))
+    assert code == 2
+    assert field in err
+
+
 def test_compute_finite_sup_csv(tmp_path, capsys):
     doc = {
         "backend": "finite_sup",
@@ -224,6 +244,14 @@ def test_gleason_single_site_exit_2(tmp_path, capsys):
     path = write(tmp_path, "g.json", doc)
     code, _, _ = run_cli(capsys, "gleason", path)
     assert code == 2
+
+
+def test_gleason_wiener_exit_2(tmp_path, capsys):
+    # only the disc and the finite models have part diagnostics
+    doc = {"backend": "wiener", "sites": [0.0, 1.0]}
+    code, _, err = run_cli(capsys, "gleason", write(tmp_path, "g.json", doc))
+    assert code == 2
+    assert "no part diagnostics" in err
 
 
 def test_verify_unknown_suite_exit_2(capsys):

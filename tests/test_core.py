@@ -8,11 +8,13 @@ from picknorm import (
     InterpolationProblem,
     LengthMismatch,
     Site,
+    SolverError,
     UnknownBackend,
     compute_np_norm,
     sup_lower_bound,
     validate_problem,
 )
+from picknorm.core import check_sites, check_targets, make_result
 
 
 def hardy_problem(lams, targets, tol=1e-9):
@@ -60,6 +62,21 @@ def test_wrong_site_kind():
     sites = (Site("circle_angle", 0.0),)
     with pytest.raises(DomainViolation):
         validate_problem(InterpolationProblem("hardy", sites, (1.0,)))
+
+
+@pytest.mark.parametrize("call", [
+    lambda: check_sites("hardy", ["a"]),
+    lambda: check_targets([object()], 1),
+    lambda: Site("nope", 1),
+], ids=["site-not-a-number", "target-not-a-number", "unknown-site-kind"])
+def test_not_a_value_rejected(call):
+    with pytest.raises(DomainViolation):
+        call()
+
+
+def test_crossed_bounds_raise():
+    with pytest.raises(SolverError, match="crossed"):
+        make_result(2.0, 1.0, 0.0, {}, 0, 1e-9)
 
 
 def test_bad_tolerance():

@@ -2,6 +2,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import mpmath
@@ -27,7 +28,7 @@ from picknorm import (
     seqalg,
     wiener_certificate,
 )
-from picknorm.seqalg import _CHUNK, _grid_max, common_period, plan_for_analytic
+from picknorm.seqalg import _BLOCK, _grid_max, common_period, plan_for_analytic
 
 SQRT2 = np.sqrt(2.0)
 
@@ -259,14 +260,62 @@ def test_wiener_period_bracket_makes_one_primal_call(monkeypatch):
 # integrable functions with pinned coefficients
 # ----------------------------------------------------------------------
 
+def whole_grid_max(ks, b, m):
+    """(max, argmax angle) of |q| on m uniform angles by one inverse FFT."""
+    spec = np.zeros(m, dtype=complex)
+    np.add.at(spec, np.mod(ks - ks.min(), m), b)
+    vals = np.abs(np.fft.ifft(spec) * m)
+    j = int(np.argmax(vals))
+    return float(vals[j]), float(2 * np.pi * j / m)
+
+
 def test_grid_max_in_chunks():
-    # past 2^25 points the grid is evaluated in chunks, not by one FFT;
-    # |1 + i e^{3i theta}| peaks at 2 first at theta = pi/2, a grid point
+    # past 2^20 points the grid is evaluated as interleaved sub-grids of at
+    # most 2^20 points; |1 + i e^{3i theta}| peaks at 2 first at theta =
+    # pi/2, a grid point
     m = 2 ** 25 + 2 ** 20
-    assert m // _CHUNK == 33
+    assert m // _BLOCK == 33
     gm, theta = _grid_max(np.array([0, 3]), np.array([1, 1j]), m)
     assert gm == pytest.approx(2.0, rel=1e-15)
     assert theta == pytest.approx(np.pi / 2, rel=1e-15)
+
+
+@pytest.mark.parametrize("m", [64, 1000, 4097, 2 ** 17, 2 ** 20])
+def test_grid_max_one_block_is_one_fft(m):
+    # a grid of at most 2^20 points is one block: the whole-grid FFT, bit
+    # for bit
+    rng = np.random.default_rng(m)
+    ks = np.array([-5, 0, 1, 2, 7])
+    b = rng.standard_normal(5) + 1j * rng.standard_normal(5)
+    assert _grid_max(ks, b, m) == whole_grid_max(ks, b, m)
+
+
+def test_grid_max_memory_stays_at_one_block():
+    # a whole-grid FFT of 2^23 points peaks at about 320 MiB
+    tracemalloc.start()
+    try:
+        gm, _ = _grid_max(np.array([0, 1, 2]), np.array([1, 1, -1]) / np.sqrt(5), 2 ** 23)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert gm == pytest.approx(1.0, rel=1e-14)
+    assert peak < 64 * 2 ** 20
+
+
+def test_certificate_grid_rounds_up_to_its_blocks():
+    # 2^21 + 2 points need 3 sub-grids, so the grid evaluated has
+    # 3 * ceil((2^21 + 2) / 3) = 2^21 + 4 points, and the inflation and the
+    # reported grid size are that grid's
+    rng = np.random.default_rng(7)
+    ks = np.array([0, 1, 2, 9])
+    b = rng.standard_normal(4) + 1j * rng.standard_normal(4)
+    cert = l1_torus_certificate(ks, [1, 1, -1, 0.5], b, grid_size=2 ** 21 + 2)
+    m = 2 ** 21 + 4
+    assert cert.meta["grid_size"] == m
+    assert cert.meta["inflation"] == 1.0 / (1.0 - math.pi * 9 / m)
+    gm, theta = whole_grid_max(ks, b, m)
+    assert cert.meta["grid_max"] == pytest.approx(gm, rel=1e-14)
+    assert cert.meta["argmax_angle"] == theta
 
 
 def test_torus_single_coefficient():
@@ -417,6 +466,30 @@ def test_certificate_check_rejects_non_finite_claim(field):
     claim = {"bound": cert.bound, "certified_sup": cert.certified_sup, field: np.nan}
     lie = DualCertificate(cert.b, claim["certified_sup"], claim["bound"], cert.meta)
     with pytest.raises(CertificateRejected, match="not finite"):
+        dual_certificate_check(lie)
+
+
+@pytest.mark.parametrize("field, value, match", [
+    ("sites", [0, 1.5, 2], "site 1 = 1.5"),
+    ("grid_size", 1000.5, "grid_size"),
+], ids=["non-integer-frequency", "non-integer-grid"])
+def test_torus_payload_field_rejected(field, value, match):
+    # the parent rechecked frequency 1.5 as 1 and accepted the certificate
+    b = np.array([1, 1, -1]) / np.sqrt(5)
+    cert = l1_torus_certificate([0, 1, 2], [1, 1, -1], b, tolerance=1e-4)
+    lie = DualCertificate(cert.b, cert.certified_sup, cert.bound,
+                          {**cert.meta, field: value})
+    with pytest.raises(CertificateRejected, match=match):
+        dual_certificate_check(lie)
+
+
+def test_wiener_payload_period_rejected():
+    # the parent rechecked period 3.9 as 3 and accepted the certificate
+    b = np.array([1.0, -1.0]) / np.sqrt(3)
+    cert = wiener_certificate([0.0, 2 * np.pi / 3], [1, -1], b, period=3)
+    lie = DualCertificate(cert.b, cert.certified_sup, cert.bound,
+                          {**cert.meta, "period": 3.9})
+    with pytest.raises(CertificateRejected, match="period"):
         dual_certificate_check(lie)
 
 

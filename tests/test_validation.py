@@ -1,9 +1,10 @@
 """Bad input raises its ValidationError subclass on every public entry point.
 
 Each row is one entry point and one bad value: a NaN site, an infinite
-target, a non-integer frequency, coordinate, dimension, kernel order or grid
-size, a basis that is not 2-D, a non-finite weight or exponent, a duplicate
-site or a target count that does not match.
+target, a non-integer frequency, coordinate, dimension, kernel order, window
+or grid size, a disc point outside the closed disc, a basis that is not 2-D,
+a non-finite weight or exponent, a duplicate site or a target count that
+does not match.
 The rules live in ``core.check_sites``, ``core.check_targets``,
 ``core.check_tolerance`` and ``core.check_dimension`` (``core._integer`` for
 ``TorusMeasure.fourier``, whose frequencies may repeat, and for
@@ -24,6 +25,7 @@ from picknorm import (
     InterpolationProblem,
     LengthMismatch,
     Site,
+    analytic_wiener_certificate,
     build_pick_matrix,
     certify_trivial_parts,
     compute_np_norm,
@@ -33,6 +35,7 @@ from picknorm import (
     is_feasible,
     kernel_coeffs,
     kernel_l1_norm,
+    l1_torus_certificate,
     np_norm_analytic_wiener,
     np_norm_closed_form,
     np_norm_generic,
@@ -43,6 +46,7 @@ from picknorm import (
     scattered_contradiction_check,
     smoothing_chain,
     unit_point_mass,
+    wiener_certificate,
 )
 from picknorm.cli import main
 
@@ -88,6 +92,20 @@ ROWS = [
     ("l1_torus-non-integer",
      lambda: np_norm_l1_torus([1.5, 2], [1, 1], 1e-6), DomainViolation),
     ("l1_torus-length", lambda: np_norm_l1_torus([1, 2], [1], 1e-6), LengthMismatch),
+    # dual certificates
+    ("analytic_certificate-outside-disc",
+     lambda: analytic_wiener_certificate([1.5, 0.5], [1, -1], [0.5, -0.5], window=64),
+     DomainViolation),
+    ("analytic_certificate-non-integer-window",
+     lambda: analytic_wiener_certificate([0.3, 0.5], [1, -1], [0.5, -0.5], window=20.9),
+     DomainViolation),
+    ("wiener_certificate-non-integer-window",
+     lambda: wiener_certificate([0.3, 1.0], [1, -1], [0.5, -0.5], period=None,
+                                window=10.5),
+     DomainViolation),
+    ("torus_certificate-non-integer-grid",
+     lambda: l1_torus_certificate([0, 1, 2], [1, 1, -1], [1, 1, -1], grid_size=1000.7),
+     DomainViolation),
     # finite models
     ("closed_form-nan-site", lambda: np_norm_closed_form(alg(), [NAN, 2], [1, 1]),
      DomainViolation),
@@ -150,6 +168,9 @@ ROWS = [
     ("coeff-non-integer", lambda: kernel_coeffs("dlvp", 2).coeff(1.5), DomainViolation),
     ("coeff-bool", lambda: kernel_coeffs("dlvp", 2).coeff(True), DomainViolation),
     ("kernel_l1_norm-non-integer-order", lambda: kernel_l1_norm(2.5), DomainViolation),
+    ("kernel_l1_norm-non-integer-grid", lambda: kernel_l1_norm(4, grid=1000.5),
+     DomainViolation),
+    ("kernel_l1_norm-bool-grid", lambda: kernel_l1_norm(4, grid=True), DomainViolation),
     ("convolve-non-integer-grid",
      lambda: convolve(unit_point_mass(), kernel_coeffs("fejer", 2), 100.5), DomainViolation),
     ("smoothing_chain-non-integer-order",

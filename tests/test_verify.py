@@ -1,7 +1,10 @@
 """A suite check fails on NaN: each is written as the condition that must
-hold, so a solver that returns a NaN bracket cannot pass ``picknorm verify``."""
+hold, so a solver that returns a NaN bracket cannot pass ``picknorm verify``.
+An unknown suite name is an error, not an empty run."""
 
 import math
+
+import pytest
 
 from picknorm import NormResult, verify
 from picknorm import finitemodel as fm
@@ -22,3 +25,8 @@ def test_nan_brackets_fail_oracle_equivalence(monkeypatch):
     res = verify.suite_oracle_equivalence(seed=1, per_kind=3)
     assert not res.passed
     assert res.failures == res.checks == 9
+
+
+def test_unknown_suite_raises():
+    with pytest.raises(ValueError, match="unknown suite"):
+        verify.run_suite("nope")
