@@ -54,6 +54,9 @@ FINITE_NORM_KINDS = {
 
 DEFAULT_TOLERANCE = 1e-9
 
+_MAX_DEGREE = 4096
+_MAX_PERIOD = 4096
+
 
 # --------------------------------------------------------------------------
 # Errors
@@ -412,8 +415,16 @@ def _exact_answer(backend: str, sites: np.ndarray, a: np.ndarray,
     - Two sites on ``l1_torus``: the norm is ``max(|a_1|, |a_2|)``, attained
       by the two-atom measure of ``_two_site_torus``; method
       ``two_site_torus``.
+    - Two sites on ``wiener`` whose target ratio lies inside the convex
+      hull of the angle orbit: the norm is ``max(|a_1|, |a_2|)``, attained
+      by the three-atom sequence of ``_two_site_wiener``; method
+      ``two_site_wiener``.  That covers incommensurate angles with
+      ``|a_1| != |a_2|`` as far as frequencies up to ``_MAX_DEGREE`` reach,
+      and commensurate ones whose ratio lies inside the regular polygon of
+      their residues.  A pair it does not decide returns None, and
+      ``_solve_wiener`` brackets it.
 
-    In the last two cases the norm is ``max_i |a_i|`` exactly, and the
+    In the last three cases the norm is ``max_i |a_i|`` exactly, and the
     bracket is ``max_i`` of ``_modulus_bracket(a_i)``: its lower end is
     ``sup_lower_bound(a)`` itself unless that float lies above the norm,
     and then the double below it.  Every answer has zero iterations and no
@@ -428,6 +439,10 @@ def _exact_answer(backend: str, sites: np.ndarray, a: np.ndarray,
                        "coefficients": [[float(a[0].real), float(a[0].imag)]]}
     elif len(a) == 2 and backend == "l1_torus":
         certificate = _two_site_torus(sites, a)
+    elif len(a) == 2 and backend == "wiener":
+        certificate = _two_site_wiener(sites, a)
+        if certificate is None:
+            return None
     else:
         return None
     ends = [_modulus_bracket(complex(z)) for z in a]
@@ -472,6 +487,106 @@ def _two_site_torus(ks: np.ndarray, a: np.ndarray) -> dict:
     return {"method": "two_site_torus",
             "atoms": {"angles": angles,
                       "weights": [[w.real, w.imag] for w in weights]}}
+
+
+def _on_period_grid(x: np.ndarray) -> np.ndarray:
+    """Whether each ``x = theta * q / (2 pi)`` lies within 1e-9 of an
+    integer: the rule by which an angle is a multiple of ``2 pi / q``."""
+    return np.abs(x - np.round(x)) <= 1e-9
+
+
+def common_period(thetas) -> int | None:
+    """Smallest q <= 4096 with every angle an integer multiple of 2*pi/q,
+    by the rule of ``_on_period_grid``."""
+    th = np.asarray(thetas, dtype=float).ravel()
+    x = th * np.arange(1, _MAX_PERIOD + 1)[:, None] / (2 * np.pi)  # row q-1: th * q
+    hit = np.all(_on_period_grid(x), axis=1)
+    return int(np.argmax(hit)) + 1 if hit.any() else None
+
+
+def _two_site_wiener(th: np.ndarray, a: np.ndarray) -> dict | None:
+    """The certificate of a two-site ``wiener`` problem whose norm is
+    ``max(|a_1|, |a_2|)``, or None where this is not decided.
+
+    Order the sites so that ``|a_i| >= |a_j|`` and set ``w = a_j / a_i``
+    and ``zeta_k = e^{ik(theta_j - theta_i)}``.  Weights ``t_k >= 0`` with
+    ``sum t_k = 1`` and ``sum t_k zeta_k = w`` give the sequence
+    ``c_k = a_i t_k e^{-ik theta_i}``, which takes the value ``a_i`` at
+    ``theta_i`` and ``a_j`` at ``theta_j`` and has mass ``|a_i|``, the
+    floor.  So three orbit points whose triangle holds ``w``
+    (``_orbit_triangle``) prove the norm.  The orbit is:
+
+    - for commensurate angles (``common_period`` finds q, and the sites are
+      snapped to ``2 pi p_i / q`` as in ``_solve_wiener``): k = 0..q-1,
+      the vertices of a regular ``q / gcd(p_j - p_i, q)``-gon;
+    - otherwise ``|k| <= K`` for K = 32, 64, ..., ``_MAX_DEGREE``.  The
+      difference of two doubles over 2 pi is irrational, so the orbit is
+      dense and its hull holds every ``|w| < 1``, but not always within
+      ``|k| <= _MAX_DEGREE``.
+
+    None where no triangle holds ``w``: ``|w|`` on or too near the unit
+    circle, angles too close for the orbit to wind round within
+    ``_MAX_DEGREE``, ``w`` outside the polygon or on one of its diagonals,
+    or both sites at one residue.  The payload is the interpolant's
+    ``support`` (the three k) and ``coefficients`` (the c_k), as
+    ``wiener_l1_truncated`` gives them, plus ``period`` and ``residues``
+    when the angles were snapped.
+    """
+    i, j = (0, 1) if abs(a[0]) >= abs(a[1]) else (1, 0)
+    w = complex(a[j]) / complex(a[i])
+    q = common_period(th)
+    if q is not None:
+        p = np.round(th * q / (2 * np.pi)).astype(int) % q
+        ks = np.arange(q)
+        # reduced modulo q before scaling, so each point is one rounding off
+        triangle = _orbit_triangle(np.exp(2j * np.pi * (ks * (p[j] - p[i]) % q) / q), w)
+        phases = np.exp(-2j * np.pi * (ks * p[i] % q) / q)
+        snapped = {"period": q, "residues": p.tolist()}
+    else:
+        K, triangle = 16, None
+        while triangle is None and K < _MAX_DEGREE:
+            K *= 2
+            ks = np.arange(-K, K + 1)
+            triangle = _orbit_triangle(np.exp(1j * ks * (th[j] - th[i])), w)
+        phases = np.exp(-1j * ks * th[i])
+        snapped = {}
+    if triangle is None:
+        return None
+    idx, t = triangle
+    c = complex(a[i]) * t * phases[idx]
+    return {"method": "two_site_wiener", "support": [int(k) for k in ks[idx]],
+            "coefficients": [[z.real, z.imag] for z in c.tolist()], **snapped}
+
+
+def _orbit_triangle(zeta: np.ndarray, w: complex):
+    """Three indices into ``zeta`` and the barycentric coordinates of ``w``
+    in their triangle, all at least 1e-9 and scaled to sum to 1, or None.
+
+    Two vertices are the points nearest ``arg w`` on either side (one in
+    the direction of ``w`` counts as counter-clockwise); the third is the
+    point that makes the smallest coordinate largest.  The margin 1e-9 is
+    far above the rounding of the points, each within about 3e-12 of
+    ``e^{ik delta}`` for ``|k| <= 4096``.  So on a polygon of at most 4096
+    sides, whose triangles are not thin, an accepted ``w`` lies inside the
+    exact hull; on a dense orbit it lies strictly inside the unit circle,
+    all of which the exact hull holds.
+    """
+    d = np.mod(np.angle(zeta) - cmath.phase(w), 2 * np.pi)
+    i1, i2 = int(np.argmin(d)), int(np.argmax(d))
+    z1, z2 = zeta[i1], zeta[i2]
+
+    def cross(u, v):
+        return u.real * v.imag - u.imag * v.real
+
+    area = cross(z2 - z1, zeta - z1)
+    with np.errstate(divide="ignore", invalid="ignore"):  # area 0: z1, z2 or collinear
+        lam = np.array([cross(z2 - w, zeta - w), cross(zeta - w, z1 - w),
+                        np.full(len(zeta), cross(z1 - w, z2 - w))]) / area
+    worst = np.where(area != 0, lam.min(axis=0), -np.inf)
+    i3 = int(np.argmax(worst))
+    if not worst[i3] >= 1e-9:
+        return None
+    return [i1, i2, i3], lam[:, i3] / np.sum(lam[:, i3])
 
 
 def compute_np_norm(p: InterpolationProblem) -> NormResult:

@@ -19,7 +19,8 @@ duality (every certified bound <= every feasible objective) is asserted on
 each solve by ``core.make_result``, which also raises SolverStall, carrying
 the bracket, when it is wider than the tolerance.
 
-Zero targets, one site and, on ``l1_torus``, two sites have exact answers
+Zero targets, one site, two sites on ``l1_torus`` and two-site ``wiener``
+problems whose norm is the floor have exact answers
 (``core._exact_answer``), which each public entry point returns before any
 LP; the private ``_solve_*`` bodies are the solvers behind them.
 """
@@ -33,7 +34,9 @@ import numpy as np
 
 from . import _lp
 from .core import (
+    _MAX_DEGREE,
     CertificateRejected,
+    DomainViolation,
     Ends,
     GridTooCoarse,
     NormResult,
@@ -41,16 +44,16 @@ from .core import (
     TailBoundFailure,
     ValidationError,
     _exact_answer,
+    _on_period_grid,
     check_dimension,
     check_sites,
     check_targets,
     check_tolerance,
+    common_period,
     make_result,
     sup_lower_bound,
 )
 
-_MAX_DEGREE = 4096
-_MAX_PERIOD = 4096
 _MAX_CERT_GRID = 2 ** 25
 _BLOCK = 2 ** 20
 
@@ -79,6 +82,18 @@ class DualCertificate:
     certified_sup: float
     bound: float
     meta: dict
+
+
+def _dual_vector(b, count: int) -> np.ndarray:
+    """The dual vector as a complex array of ``count`` numbers, one per
+    site, or a DomainViolation."""
+    try:
+        v = np.asarray(b, dtype=complex).ravel()
+    except (TypeError, ValueError):
+        raise DomainViolation(f"the dual vector must be numbers, got {b!r}") from None
+    if len(v) != count:
+        raise DomainViolation(f"{count} sites but {len(v)} dual coefficients")
+    return v
 
 
 def plan_for_analytic(lambdas, tail_margin: float) -> int:
@@ -111,11 +126,12 @@ def _analytic_certified_sup(lam: np.ndarray, b: np.ndarray, window: int):
 
 def analytic_wiener_certificate(lambdas, targets, b, window: int = 256) -> DualCertificate:
     """Certify a dual vector for the one-sided coefficient algebra.  The
-    sites pass ``core.check_sites``, the window ``core.check_dimension``."""
+    sites pass ``core.check_sites``, the window ``core.check_dimension`` and
+    the dual vector ``_dual_vector``."""
     lam = check_sites("analytic_wiener", lambdas)
     a = check_targets(targets, len(lam))
     window = check_dimension(window, "window")
-    b = np.asarray(b, dtype=complex).ravel()
+    b = _dual_vector(b, len(lam))
     csup, detail = _analytic_certified_sup(lam, b, window)
     obj = float(np.real(np.sum(b * a)))
     bound = obj / csup if csup > 0 else 0.0
@@ -220,14 +236,6 @@ def _solve_analytic_wiener(lam: np.ndarray, a: np.ndarray,
 # two-sided coefficient algebra on the circle
 # --------------------------------------------------------------------------
 
-def common_period(thetas) -> int | None:
-    """Smallest q <= 4096 with every angle an integer multiple of 2*pi/q."""
-    th = np.asarray(thetas, dtype=float).ravel()
-    x = th * np.arange(1, _MAX_PERIOD + 1)[:, None] / (2 * np.pi)  # row q-1: th * q
-    hit = np.all(np.abs(x - np.round(x)) <= 1e-9, axis=1)
-    return int(np.argmax(hit)) + 1 if hit.any() else None
-
-
 def wiener_certificate(thetas, targets, b, period: int | None = None,
                        window: int = 512) -> DualCertificate:
     """Certify a dual vector for the two-sided coefficient algebra.
@@ -238,16 +246,20 @@ def wiener_certificate(thetas, targets, b, period: int | None = None,
     labeled window-limited: its bound is valid for the window-truncated
     algebra only and is never used as a certified lower bound.  The angles
     pass ``core.check_sites``, a given period and the window
-    ``core.check_dimension``.
+    ``core.check_dimension``, and the dual vector ``_dual_vector``; a given
+    period must fit every angle by ``common_period``'s rule (within 1e-9 of
+    ``2 pi p / period``), or DomainViolation names it.
     """
     th = check_sites("wiener", thetas)
     a = check_targets(targets, len(th))
     window = check_dimension(window, "window")
-    b = np.asarray(b, dtype=complex).ravel()
+    b = _dual_vector(b, len(th))
     if period is None:
         period = common_period(th)
     else:
         period = check_dimension(period, "period")
+        if not np.all(_on_period_grid(th * period / (2 * np.pi))):
+            raise DomainViolation(f"the angles are not multiples of 2*pi/{period}")
     if period is not None:
         ks = np.arange(period)
         span = {"period": int(period), "window": "full_period"}
@@ -283,9 +295,16 @@ def np_norm_wiener(thetas, targets, tolerance: float = 1e-9) -> NormResult:
     proofs of the reported ends: the truncated primal's ``support`` and
     ``coefficients``, whose mass is ``upper``.  Inputs pass
     ``core.check_sites``, ``core.check_targets`` and
-    ``core.check_tolerance``.  Zero targets and one site have exact answers
-    (``core._exact_answer``: methods ``zero_targets`` and ``one_site``,
-    ``iterations = 0``) and solve no LP.
+    ``core.check_tolerance``.  Zero targets, one site, and two sites whose
+    target ratio lies inside the convex hull of the angle orbit
+    (incommensurate pairs with unequal moduli, as far as frequencies up to
+    4096 reach, and commensurate pairs whose ratio lies inside the regular
+    polygon of their residues) have exact
+    answers (``core._exact_answer``: methods ``zero_targets``, ``one_site``
+    and ``two_site_wiener``, the last with a three-coefficient ``support``
+    and ``coefficients`` shaped like ``wiener_l1_truncated``'s, plus
+    ``period`` and ``residues`` for snapped angles; ``iterations = 0``) and
+    solve no LP.
     """
     check_tolerance(tolerance)
     th = check_sites("wiener", thetas)
@@ -425,13 +444,14 @@ def l1_torus_certificate(ks, targets, b, grid_size: int | None = None,
     most 2^20 points (``_grid_max``), and a requested size above that is
     rounded up to a multiple of its block count; ``grid_size`` in ``meta``
     is the size evaluated.  The frequencies pass ``core.check_sites``, a
-    given grid size ``core.check_dimension``.
+    given grid size ``core.check_dimension`` and the dual vector
+    ``_dual_vector``.
     """
     ks = check_sites("l1_torus", ks)
     a = check_targets(targets, len(ks))
     if grid_size is not None:
         grid_size = check_dimension(grid_size, "grid_size")
-    b = np.asarray(b, dtype=complex).ravel()
+    b = _dual_vector(b, len(ks))
     obj = float(np.real(np.sum(np.conj(b) * a)))
     nz = np.nonzero(np.abs(b) > 0)[0]
     if len(nz) <= 1:
@@ -637,11 +657,12 @@ def dual_certificate_check(cert: DualCertificate) -> float:
     the frequency window plus tail (coefficient algebras), or over the exact
     period for commensurate angles, and returns the implied bound.  Accepts
     iff the claimed ``bound`` and ``certified_sup`` are finite, the
-    payload's sites, targets, period, window and grid size pass the
-    certificate functions' input rules, and the recheck does not lower the
+    payload's sites, targets, dual vector, period, window and grid size are
+    present where required and pass the certificate functions' input rules
+    (a period must fit the angles), and the recheck does not lower the
     bound by more than 1e-12; otherwise raises CertificateRejected naming
-    the non-finite claim, the rejected field, or the violating frequency or
-    angle.
+    the non-finite claim, the missing or rejected field, or the violating
+    frequency or angle.
     """
     if not (math.isfinite(cert.bound) and math.isfinite(cert.certified_sup)):
         raise CertificateRejected(
@@ -649,6 +670,9 @@ def dual_certificate_check(cert: DualCertificate) -> float:
             f"{cert.certified_sup!r} is not finite")
     meta = cert.meta
     backend = meta.get("backend")
+    for key in ("sites", "targets"):
+        if key not in meta:
+            raise CertificateRejected(f"certificate payload has no {key!r}")
     sites, a, b = meta["sites"], meta["targets"], cert.b
     try:
         if backend == "l1_torus":

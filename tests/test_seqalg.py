@@ -3,6 +3,7 @@ import os
 import subprocess
 import sys
 import tracemalloc
+from fractions import Fraction
 from pathlib import Path
 
 import mpmath
@@ -11,6 +12,7 @@ import pytest
 
 from picknorm import (
     CertificateRejected,
+    DomainViolation,
     DualCertificate,
     InterpolationProblem,
     Site,
@@ -18,6 +20,7 @@ from picknorm import (
     TailBoundFailure,
     analytic_wiener_certificate,
     compute_np_norm,
+    core,
     dual_certificate_check,
     hardy,
     l1_torus_certificate,
@@ -218,8 +221,10 @@ def test_wiener_period_draws_close(thetas, targets):
     # commensurate draws whose period reduction stalled at 1e-9 on one BLAS
     # thread when only the cut loop's candidates were ranked; the hinted,
     # projected point meets the dual bound (the benchmark's tight_seq
-    # draws 184, 215, 264 and 355 at seed 1)
-    r = np_norm_wiener(thetas, targets, 1e-9)
+    # draws 184, 215, 264 and 355 at seed 1).  The private body runs the
+    # reduction itself: the public entry answers draw 355, whose target
+    # ratio lies inside its pentagon, exactly (two_site_wiener)
+    r = seqalg._solve_wiener(np.asarray(thetas), np.asarray(targets, dtype=complex), 1e-9)
     assert r.upper - r.lower <= 1e-9
     payload = r.certificate["dual"]
     meta = dict(payload["meta"], targets=[complex(*z) for z in payload["meta"]["targets"]])
@@ -383,15 +388,18 @@ def test_torus_floor():
 # every end travels with its proof
 # ----------------------------------------------------------------------
 
-def _assert_proves_the_ends(r, a, columns, weights):
+def _assert_proves_the_ends(r, a, columns, weights, floor=None):
     """The published interpolant, ``columns @ weights`` at the sites, meets
     the targets within 1e-12 max(1, max|a|) and has mass ``upper``; the
-    published dual, with the floor, gives ``lower``."""
+    published dual, with the floor, gives ``lower``.  The floor is
+    ``max|a_i|`` as a float unless the caller gives it (an exact answer's
+    floor is the rounded-down end of ``core._modulus_bracket``)."""
     w = np.array([complex(*z) for z in weights])
     assert np.max(np.abs(columns @ w - a)) <= 1e-12 * max(1.0, np.max(np.abs(a)))
     assert np.sum(np.abs(w)) == pytest.approx(r.upper, rel=1e-12, abs=0)
     dual = r.certificate.get("dual")
-    floor = max(abs(complex(z)) for z in a)
+    if floor is None:
+        floor = max(abs(complex(z)) for z in a)
     assert r.lower == max(floor, dual["bound"] if dual else -math.inf)
 
 
@@ -664,3 +672,115 @@ def test_solver_bodies_agree_with_exact_answers(backend, tolerance):
         assert body.certificate["method"] != exact.certificate["method"]
         assert abs(body.lower - exact.lower) <= tolerance
         assert abs(body.upper - exact.upper) <= tolerance
+
+
+def _two_site_wiener_draw(rng, commensurate):
+    """Two angles and targets whose norm is the floor: incommensurate
+    angles at least 0.2 apart (as the benchmark draws them) with
+    1 - |w| >= 1e-3, or angles 2 pi p_i / q whose ratio w lies at least
+    1e-6 inside the regular polygon of the orbit, decided by its
+    half-planes; w = a_j / a_i, a_i the larger target.  w = 0 lies on a
+    diagonal of an even polygon, where no triangle holds it strictly."""
+    while True:
+        a = _targets(rng, 2)
+        if rng.uniform() < 0.1:
+            a[rng.integers(2)] = 0.0
+        i = int(np.argmax(np.abs(a)))
+        w = a[1 - i] / a[i]
+        if not commensurate:
+            th = rng.uniform(0, 2 * np.pi, 2)
+            if (abs(w) <= 1 - 1e-3 and abs(th[1] - th[0]) > 0.2
+                    and common_period(th) is None):
+                return th, a
+            continue
+        q = int(rng.integers(3, 41))
+        p = rng.choice(q, size=2, replace=False)
+        sides = q // math.gcd(int(p[1] - p[0]), q)
+        if sides < 3 or (w == 0 and sides % 2 == 0):
+            continue
+        normals = np.exp(1j * np.pi * (2 * np.arange(sides) + 1) / sides)
+        if np.max((w * np.conj(normals)).real) <= np.cos(np.pi / sides) - 1e-6:
+            return 2 * np.pi * p / q, a
+
+
+@pytest.mark.parametrize("commensurate", [False, True], ids=["incommensurate", "in-polygon"])
+def test_two_site_wiener_contains_the_norm(commensurate):
+    # the parent floored the lower end at abs(a_i), which lies above |a_i|
+    # in about half of these draws, and stalled on incommensurate ones at
+    # 1e-9; containment is decided exactly on the squares
+    rng = np.random.default_rng(17 + commensurate)
+    for _ in range(300):
+        th, a = _two_site_wiener_draw(rng, commensurate)
+        r = np_norm_wiener(th, a, 1e-9)
+        cert = r.certificate
+        assert cert["method"] == "two_site_wiener", (th, a)
+        assert r.iterations == 0 and "dual" not in cert
+        square = max(Fraction(z.real) ** 2 + Fraction(z.imag) ** 2 for z in a.tolist())
+        assert Fraction(r.lower) ** 2 <= square <= Fraction(r.upper) ** 2, (th, a, r)
+        assert ("period" in cert) == commensurate
+        floor = max(core._modulus_bracket(complex(z))[0] for z in a)
+        _assert_proves_the_ends(r, a, np.exp(1j * np.outer(th, cert["support"])),
+                                cert["coefficients"], floor=floor)
+
+
+def test_two_site_wiener_pairs_it_cannot_decide_reach_the_solver(monkeypatch):
+    reached = []
+
+    def body(th, a, tolerance):
+        reached.append(th.tolist())
+        return "solved"
+
+    monkeypatch.setattr(seqalg, "_solve_wiener", body)
+    undecided = [
+        ([0.0, 1.0], [1, 1j]),                   # |w| = 1
+        ([0.0, 2 * np.pi / 3], [1, -1]),         # w = -1, outside the triangle
+        ([0.0, 1e-10], [1, 0.5]),                # both sites snap to residue 0 (q = 1)
+        ([0.0, 1.0, 2.0], [1, 0.5, 0.25]),       # three sites
+    ]
+    for th, a in undecided:
+        assert np_norm_wiener(th, a, 1e-9) == "solved"
+    r = np_norm_wiener([0.0, 1.0], [1, 0.5j], 1e-9)
+    assert r.certificate["method"] == "two_site_wiener"
+    assert reached == [th for th, _ in undecided]
+
+
+def test_wiener_payload_period_must_fit_the_angles():
+    # 1.0 is no multiple of 2*pi/3; over k = 0, 1, 2 this dual vector reads a
+    # sup of 0.97 and a bound of 1.19, while 4,097 frequencies already give
+    # a sup of 1.1547, so the parent's recheck accepted a bound above the norm
+    th, a = np.array([0.0, 1.0]), np.array([1.0, -1.0])
+    b = np.array([1.0, -1.0]) / np.sqrt(3)
+    with pytest.raises(DomainViolation, match="2\\*pi/3"):
+        wiener_certificate(th, a, b, period=3)
+    csup = float(np.max(np.abs(np.exp(1j * np.outer(np.arange(3), th)) @ b)))
+    lie = DualCertificate(tuple(b), csup, float(np.real(b @ a)) / csup,
+                          {"backend": "wiener", "sites": th.tolist(),
+                           "targets": a.tolist(), "period": 3, "window": "full_period"})
+    with pytest.raises(CertificateRejected, match="2\\*pi/3"):
+        dual_certificate_check(lie)
+
+
+def _valid_certificates():
+    b = np.array([1, 1, -1]) / np.sqrt(5)
+    return [analytic_wiener_certificate([0.3, -0.2], [1, 0.5], [0.7, -0.1]),
+            wiener_certificate([0.0, 2 * np.pi / 3], [1, -1], [1.0, -1.0], period=3),
+            l1_torus_certificate([0, 1, 2], [1, 1, -1], b, tolerance=1e-4)]
+
+
+@pytest.mark.parametrize("field", ["sites", "targets"])
+def test_certificate_check_rejects_a_payload_without_sites_or_targets(field):
+    # the parent raised KeyError, which the benchmark's oracles do not catch
+    for cert in _valid_certificates():
+        meta = {k: v for k, v in cert.meta.items() if k != field}
+        lie = DualCertificate(cert.b, cert.certified_sup, cert.bound, meta)
+        with pytest.raises(CertificateRejected, match=f"no '{field}'"):
+            dual_certificate_check(lie)
+
+
+def test_certificate_check_rejects_a_non_numeric_dual_vector():
+    # the parent raised ValueError from complex()
+    for cert in _valid_certificates():
+        for b in (("x",) * len(cert.b), cert.b[:-1]):
+            lie = DualCertificate(b, cert.certified_sup, cert.bound, cert.meta)
+            with pytest.raises(CertificateRejected, match="dual"):
+                dual_certificate_check(lie)
